@@ -322,7 +322,7 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
 
     try:
-        kmax = args.kmax if getattr(args, "kmax", None) else _default_kmax()
+        kmax = args.kmax if getattr(args, "kmax", None) is not None else _default_kmax()
         if args.command == "families":
             return _cmd_families(args)
         if args.command == "check":

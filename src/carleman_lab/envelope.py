@@ -8,7 +8,6 @@ formula it is equivalent to lives in the test suite as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma
 
 import numpy as np
 
@@ -64,28 +63,34 @@ class EnvelopeResult:
 
 
 def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
-    """Lower convex envelope of the points (i, y_i), by a monotone-chain sweep."""
+    """Lower convex envelope of the points (i, y_i), by a monotone-chain sweep.
+
+    Index i on hull segment (a, b) gets y_a + (i - a)(y_b - y_a)/(b - a); all
+    segments are filled in one array pass.
+    """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 3:
         raise DomainError("need at least 3 points for an envelope")
+    yl = y.tolist()
     hull = [0]
     for i in range(1, n):
         # pop while the previous vertex lies on or above the new chord
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            if (y[b] - y[a]) * (i - a) >= (y[i] - y[a]) * (b - a):
+            if (yl[b] - yl[a]) * (i - a) >= (yl[i] - yl[a]) * (b - a):
                 hull.pop()
             else:
                 break
         hull.append(i)
-    values = np.empty(n)
-    for a, b in zip(hull[:-1], hull[1:]):
-        t = np.arange(a, b + 1) - a
-        values[a : b + 1] = y[a] + t * (y[b] - y[a]) / (b - a)
+    h = np.asarray(hull)
+    reps = np.diff(h)
+    reps[-1] += 1  # the last segment also fills its right end
+    a, b = np.repeat(h[:-1], reps), np.repeat(h[1:], reps)
+    values = y[a] + (np.arange(n) - a) * (y[b] - y[a]) / (b - a)
     # re-collect contact indices: interior points of a segment may coincide
     # with the input when the input is affine there
-    contact = tuple(i for i in range(n) if values[i] >= y[i] - 1e-12 * max(1.0, abs(y[i])))
+    contact = np.flatnonzero(values >= y - 1e-12 * np.maximum(1.0, np.abs(y)))
     edge = hull[-1] - hull[-2] > 1
     return EnvelopeResult(values=values, contact_set=contact, is_edge_sensitive=edge)
 
@@ -156,17 +161,16 @@ def uncheck_scale(log_mck: np.ndarray) -> np.ndarray:
     compensated (Kahan) summation.
     """
     log_mck = np.asarray(log_mck, dtype=float)
-    inv = np.exp(-log_mck)
-    out = np.empty_like(log_mck)
+    partial = []
     s = 0.0
     c = 0.0
-    for i in range(len(log_mck)):
-        y = inv[i] - c
+    for inv in np.exp(-log_mck).tolist():
+        y = inv - c
         t = s + y
         c = (t - s) - y
         s = t
-        out[i] = log_mck[i] + np.log1p(s)
-    return out
+        partial.append(s)
+    return log_mck + np.log1p(partial)
 
 
 def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:

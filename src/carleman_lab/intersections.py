@@ -28,7 +28,7 @@ from .seqcore import (
     rescale,
 )
 from . import envelope
-from .predicates import growth_diagnostic, is_log_convex
+from .predicates import _min_plus_splits, growth_diagnostic, is_log_convex
 
 __all__ = [
     "MajorantTrace",
@@ -445,7 +445,10 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     C is estimated as twice the plateaued prefix supremum of the
     moderate-growth statistic of Q (the factor 2 absorbs the binomial
     weights of the k!-rescaled statistic).  L must be weakly log-convex,
-    dominate Q, and have L_0 = 1.
+    dominate Q, and have L_0 = 1.  The min over j of log(j! L_j) +
+    log((k-j)! L_{k-j}) is taken at the balanced split j = k // 2 when
+    log(k! L_k) has every second difference >= 0 exactly; the weak
+    log-convexity check allows an eps, and inside it a row search runs.
     """
     if Q.k_min != 0 or L.k_min != 0:
         raise DomainError("lprime needs tabulations starting at k = 0")
@@ -469,13 +472,11 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
         raise DomainError(f"{L.name!r} does not dominate {Q.name!r} at k={k}")
 
     log_C = np.log(2.0) + float(mg.margin)
-    ks = np.arange(0, k_hi + 1, dtype=float)
+    ks = np.arange(0, k_hi + 1)
     log_Lt = L.log_M[: k_hi + 1] + log_factorial(ks)
-    out = np.empty(k_hi + 1)
+    js = _min_plus_splits(log_Lt)
+    out = ks * log_C + (log_Lt[js] + log_Lt[ks - js])
     out[0] = 0.0
-    for k in range(1, k_hi + 1):
-        js = np.arange(0, k // 2 + 1)
-        out[k] = k * log_C + np.min(log_Lt[js] + log_Lt[k - js])
     log_out = out - log_factorial(ks)
     gap = log_out - Q.log_M[: k_hi + 1]
     if np.any(gap < -1e-9):

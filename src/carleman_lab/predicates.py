@@ -101,6 +101,24 @@ def _decade_increase(trace: np.ndarray) -> float:
     return float(trace[-1] - trace[i])
 
 
+def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
+    """Split j <= t // 2 maximising top_t - a_j - a_{t-j}, for each t < len(a).
+
+    That split minimises a_j + a_{t-j}.  When every second difference of ``a``
+    is >= 0 exactly (no eps), j -> a_j + a_{t-j} is convex and symmetric about
+    t/2, so it is t // 2; otherwise an O(n^2) row search runs, in the caller's
+    arithmetic top_t - a_j - a_{t-j}, so that rounding picks the same split.
+    """
+    if np.all(np.diff(a, 2) >= 0.0):
+        return np.arange(len(a)) // 2
+    top = np.broadcast_to(top, len(a))
+    splits = np.empty(len(a), dtype=np.intp)
+    for t in range(len(a)):
+        js = np.arange(t // 2 + 1)
+        splits[t] = np.argmax(top[t] - a[js] - a[t - js])
+    return splits
+
+
 def growth_diagnostic(
     W: WeightSequence, mode: str, eps: float = PLATEAU_EPS
 ) -> Verdict:
@@ -108,6 +126,10 @@ def growth_diagnostic(
 
     derivation-closed: sup_k (log M_{k+1} - log M_k) / k;
     moderate-growth:   sup_{j,k>=1} (log M_{j+k} - log M_j - log M_k) / (j+k).
+
+    The moderate-growth sup over j is taken at the balanced split j = s // 2
+    when log M_1..log M_{n-1} has every second difference >= 0 exactly, and
+    by an O(n^2) row search otherwise.
 
     Holds when the running sup has plateaued over the last decade of indices,
     inconclusive otherwise; a finite prefix can never refute sup-finiteness,
@@ -121,10 +143,10 @@ def growth_diagnostic(
         ks = np.arange(1, n, dtype=float)
         stat = (logM[2:] - logM[1:-1]) / ks
     elif mode == "moderate-growth":
-        stat = np.full(n - 1, -np.inf)
-        for s in range(2, n + 1):
-            js = np.arange(1, s // 2 + 1)
-            stat[s - 2] = np.max((logM[s] - logM[js] - logM[s - js]) / s)
+        s = np.arange(2, n + 1)
+        # splits of s = j + (s - j) over log M_1..log M_{n-1}, shifted to j >= 1
+        js = _min_plus_splits(logM[1:n], top=logM[2:]) + 1
+        stat = (logM[s] - logM[js] - logM[s - js]) / s
     else:
         raise DomainError(f"unknown growth mode {mode!r}")
     run_sup = np.maximum.accumulate(stat)

@@ -6,12 +6,17 @@ import sys
 import numpy as np
 import pytest
 
+import carleman_lab
 from carleman_lab.seqcore import sequence_from_json
+
+# the subprocess imports the same package tree as this test process
+SRC_DIR = os.path.dirname(os.path.dirname(carleman_lab.__file__))
 
 
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("CARLEMAN_KMAX", None)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -53,6 +58,12 @@ class TestExitCodes:
         assert run_cli("frobnicate").returncode == 3
         assert run_cli("seq", "--family", "nosuch").returncode == 3
         assert run_cli("check", "log-convex").returncode == 3  # no family, no pipe
+
+    def test_nonpositive_kmax_is_usage_error(self):
+        for kmax in ("0", "-5"):
+            r = run_cli("seq", "--family", "q18", "--kmax", kmax)
+            assert r.returncode == 3
+            assert r.stderr == "error: k_max must be at least 2\n"
 
     def test_usage_error_message_on_stderr(self):
         r = run_cli("seq", "--family", "nosuch")

@@ -14,6 +14,7 @@ from carleman_lab.envelope import (
     uncheck_scale,
     uncheck_sequence,
 )
+from carleman_lab.families import FamilySpec, make_family
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -39,7 +40,53 @@ def brute_force_envelope(y):
     return out
 
 
+def segment_fill_envelope(y):
+    """Monotone-chain sweep with a per-segment fill and a per-index contact scan."""
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    hull = [0]
+    for i in range(1, n):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (y[b] - y[a]) * (i - a) >= (y[i] - y[a]) * (b - a):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    values = np.empty(n)
+    for a, b in zip(hull[:-1], hull[1:]):
+        t = np.arange(a, b + 1) - a
+        values[a : b + 1] = y[a] + t * (y[b] - y[a]) / (b - a)
+    contact = tuple(i for i in range(n) if values[i] >= y[i] - 1e-12 * max(1.0, abs(y[i])))
+    return values, contact, hull[-1] - hull[-2] > 1
+
+
+def _hull_fill_inputs():
+    rng = np.random.default_rng(17)
+    affine = np.concatenate(
+        [np.arange(200) * -0.75, -150.0 + np.arange(300) * 0.1, -120.0 + np.arange(250) * 1.5]
+    )
+    q12 = make_family(FamilySpec("q_delta_n", delta=1.0, n=2), k_max=10_000)
+    return {
+        "affine pieces": affine,
+        "random walk": np.cumsum(rng.normal(size=5000)),
+        "q:1:2 strong": q12.log_M,
+        "q:1:2 weak": q12.log_M + log_factorial(q12.ks.astype(float)),
+    }
+
+
+HULL_FILL_INPUTS = _hull_fill_inputs()
+
+
 class TestLowerConvexEnvelope:
+    @pytest.mark.parametrize("y", HULL_FILL_INPUTS.values(), ids=HULL_FILL_INPUTS.keys())
+    def test_matches_segment_fill_bit_for_bit(self, y):
+        env = lower_convex_envelope(y)
+        values, contact, edge = segment_fill_envelope(y)
+        assert np.array_equal(env.values, values)
+        assert env.contact_set == contact
+        assert env.is_edge_sensitive == edge
+
     def test_matches_brute_force_on_random_inputs(self):
         rng = np.random.default_rng(42)
         for _ in range(25):
@@ -144,6 +191,19 @@ class TestCheckBijection:
         lhs = np.exp(sc.log_m)
         rhs = mck * (1.0 + np.cumsum(1.0 / mck))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+    def test_uncheck_scale_matches_per_element_loop(self):
+        log_mck = check_scale(DerivedScales.from_weight_sequence(self.q18(10_000)))
+        inv = np.exp(-log_mck)
+        oracle = np.empty_like(log_mck)
+        s = c = 0.0
+        for i in range(len(log_mck)):
+            y = inv[i] - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+            oracle[i] = log_mck[i] + np.log1p(s)
+        assert np.array_equal(uncheck_scale(log_mck), oracle)
 
     def test_requires_m1_greater_one(self):
         W = tabulate(lambda k: 0.0, 10, name="analytic")  # m_1 = 1

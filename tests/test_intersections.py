@@ -14,7 +14,7 @@ from carleman_lab.intersections import (
     separating_majorant,
     separating_majorant_weak,
 )
-from carleman_lab.predicates import is_log_convex
+from carleman_lab.predicates import growth_diagnostic, is_log_convex
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -243,12 +243,35 @@ class TestMinCombine:
             min_combine(L1, low, Q)
 
 
+def row_loop_lprime(Q, L):
+    """O(K^2) oracle: k log C + min_{j<=k/2} log(j! L_j) + log((k-j)! L_{k-j})."""
+    k_hi = min(Q.k_max, L.k_max)
+    log_C = np.log(2.0) + float(growth_diagnostic(Q, "moderate-growth").margin)
+    ks = np.arange(0, k_hi + 1, dtype=float)
+    log_Lt = L.log_M[: k_hi + 1] + log_factorial(ks)
+    out = np.empty(k_hi + 1)
+    out[0] = 0.0
+    for k in range(1, k_hi + 1):
+        js = np.arange(0, k // 2 + 1)
+        out[k] = k * log_C + np.min(log_Lt[js] + log_Lt[k - js])
+    return out - log_factorial(ks)
+
+
 class TestLPrime:
     @pytest.fixture()
     def setup(self):
         Q = make_family(FamilySpec("q18"), k_max=5000)
         L = rescale(make_family(FamilySpec("gevrey", s=1.0), k_max=5000), 1.0, 2.0)
         return Q, L.with_name("L")
+
+    def test_matches_row_loop(self, setup, trace, weak_trace):
+        Q, L = setup
+        # 2 gevrey:1 and the strong majorant are exactly convex in the k!
+        # basis (balanced split); the weak majorant is a hull whose collinear
+        # runs round to negative second differences (row search)
+        for M in (L, trace.output_rescaled, weak_trace.output_rescaled):
+            lp = lprime_construction(Q, M)
+            assert np.array_equal(lp.log_M, row_loop_lprime(Q, M)), M.name
 
     def test_even_odd_closed_forms(self, setup):
         Q, L = setup

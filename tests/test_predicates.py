@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from carleman_lab.envelope import check_sequence
-from carleman_lab.families import FamilySpec, make_family
+from carleman_lab.families import FamilySpec, builtin_sequences, make_family
 from carleman_lab.predicates import (
     Verdict,
     growth_diagnostic,
@@ -17,6 +17,17 @@ from carleman_lab.seqcore import DomainError, WeightSequence, rescale, tabulate
 
 def fam(token_kind, k_max=2000, **kw):
     return make_family(FamilySpec(kind=token_kind, **kw), k_max=k_max)
+
+
+def row_loop_moderate_trace(W):
+    """O(K^2) oracle: running sup over s of max_{1<=j<=s/2} (log M_s - log M_j - log M_{s-j})/s."""
+    logM = W.log_M
+    n = W.k_max
+    stat = np.full(n - 1, -np.inf)
+    for s in range(2, n + 1):
+        js = np.arange(1, s // 2 + 1)
+        stat[s - 2] = np.max((logM[s] - logM[js] - logM[s - js]) / s)
+    return np.maximum.accumulate(stat)
 
 
 class TestVerdict:
@@ -102,6 +113,24 @@ class TestGrowthDiagnostics:
             for k in range(1, 61 - j)
         )
         assert v.margin == pytest.approx(brute, rel=1e-12)
+
+    def test_moderate_trace_matches_row_loop_on_builtins(self):
+        # exactly convex log M takes the balanced split; q:1:3 is not convex
+        # on k >= 1 and runs the row search
+        for name, W in builtin_sequences(3000).items():
+            v = growth_diagnostic(W, "moderate-growth")
+            assert np.array_equal(v.statistic_trace, row_loop_moderate_trace(W)), name
+
+    def test_moderate_trace_matches_row_loop_on_non_convex_inputs(self):
+        # on the check sequence of q:1:3 the split minimising log M_j + log M_{s-j}
+        # and the split maximising the statistic differ by rounding
+        rng = np.random.default_rng(2024)
+        walk = WeightSequence("walk", 0, np.concatenate(([0.0], np.cumsum(rng.normal(size=600)))))
+        qcheck = check_sequence(fam("q_delta_n", k_max=3000, delta=1.0, n=3))
+        for W in (walk, qcheck):
+            assert np.any(np.diff(W.log_M[1:], 2) < 0.0)
+            v = growth_diagnostic(W, "moderate-growth")
+            assert np.array_equal(v.statistic_trace, row_loop_moderate_trace(W)), W.name
 
 
 class TestQuasianalyticClassifier:
