@@ -148,9 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--order", type=int, default=24)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("export", help="export a family tabulation")
-    common(sp)
     return p
 
 
@@ -239,7 +236,7 @@ def _sequence_command(args, kmax: int) -> WeightSequence:
     if args.command == "compose":
         L = _family(args.other, kmax)
         return envelope.compose_sequences(W, L, min(kmax, envelope.MAX_COMPOSE_K))
-    return W  # seq / export
+    return W  # seq
 
 
 def _cmd_check(args, kmax: int, piped: WeightSequence | None) -> int:
@@ -333,7 +330,7 @@ def run(argv: list[str]) -> int:
             return _cmd_majorant(args, kmax)
         if args.command == "fdb":
             return _cmd_fdb(args)
-        # sequence-valued commands: seq, checkseq, minorant, compose, export
+        # sequence-valued commands: seq, checkseq, minorant, compose
         W = _sequence_command(args, kmax)
         if tail is not None:
             try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
     DerivedScales,
@@ -52,7 +53,7 @@ class EnvelopeResult:
         arr = np.asarray(self.values, dtype=float).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "contact_set", tuple(int(i) for i in self.contact_set))
+        object.__setattr__(self, "contact_set", tuple(np.asarray(self.contact_set).tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -192,8 +193,9 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
     """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}.
 
-    Max-plus dynamic program over integer compositions, O(k^3); capped at
-    k_max_out <= 500.
+    Max-plus dynamic program over the number of parts j, O(k^3); capped at
+    k_max_out <= 500.  Pass j builds G[k, j] = max_a log L_a + G[k - a, j - 1]
+    for every k at once and folds log M_j + G[., j] into a running maximum.
     """
     if k_max_out > MAX_COMPOSE_K:
         raise DomainError(f"k_max_out capped at {MAX_COMPOSE_K} (O(k^3) dynamic program)")
@@ -204,16 +206,17 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     n = k_max_out
     logL = L.log_M[: n + 1]
     logM = M.log_M[: n + 1]
-    # G[k, j] = max over alpha in N_{>0}^j, sum alpha = k, of sum log L_{a_i}
-    G = np.full((n + 1, n + 1), -np.inf)
-    G[0, 0] = 0.0
-    for j in range(1, n + 1):
-        for k in range(j, n + 1):
-            # first part a runs over 1..k-j+1; G[k-a, j-1] needs k-a >= j-1
-            a_hi = k - j + 1
-            G[k, j] = np.max(logL[1 : a_hi + 1] + G[k - 1 : j - 2 if j >= 2 else None : -1, j - 1])
-    out = np.empty(n + 1)
+    # after pass j, G[k] for k >= j is the max over alpha in N_{>0}^j with
+    # sum alpha = k of sum log L_{a_i}
+    G = np.full(n + 1, -np.inf)
+    G[0] = 0.0
+    out = np.full(n + 1, -np.inf)
     out[0] = logM[0]
-    for k in range(1, n + 1):
-        out[k] = np.max(logM[1 : k + 1] + G[k, 1 : k + 1])
+    for j in range(1, n + 1):
+        # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
+        # a = N .. 1, padded with -inf where k - a < j - 1
+        N = n - j + 1
+        prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
+        G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
+        out[j:] = np.maximum(out[j:], logM[j] + G[j:])
     return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)

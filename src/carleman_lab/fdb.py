@@ -1,17 +1,21 @@
-"""Exact truncated formal-power-series arithmetic with growth certificates.
+"""Truncated formal-power-series arithmetic with growth certificates.
 
 Coefficients follow the derivative normalization: the stored f_k corresponds
-to the k-th derivative, so the Taylor coefficient is f_k / k!.  When every
-input coefficient is an integer or Fraction the arithmetic runs over exact
-rationals, which keeps e.g. Bell numbers exact far past the 2^53 threshold
-where f64 integer arithmetic silently rounds.
+to the k-th derivative, so the Taylor coefficient is f_k / k!.  Composition
+is one partial Bell polynomial recurrence (Comtet, Advanced Combinatorics,
+section 3.3), which needs no factorials.  The coefficient type is chosen once
+per call: when every input coefficient is an int or Fraction the inputs are
+used as stored, so int inputs stay in the integers (Bell numbers stay exact
+far past the 2^53 threshold where f64 integer arithmetic silently rounds);
+otherwise both inputs are converted to float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isfinite, lgamma
+from math import comb, isfinite, lgamma
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,16 +29,7 @@ __all__ = [
     "multiply_series",
     "verify_composition_bound",
     "certificate_grid",
-    "DEFAULT_TRUNCATION",
 ]
-
-DEFAULT_TRUNCATION = 32
-
-_EXACT_TYPES = (int, Fraction)
-
-
-def _is_exact(coeffs) -> bool:
-    return all(isinstance(c, _EXACT_TYPES) for c in coeffs)
 
 
 def _simplify(c):
@@ -74,7 +69,7 @@ class TruncatedSeries:
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact(self.coeffs)
+        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
 
     def to_dict(self) -> dict:
         cert = None
@@ -87,41 +82,35 @@ class TruncatedSeries:
         return {"coeffs": [float(c) for c in self.coeffs], "certificate": cert}
 
 
+def _common_coeffs(f: TruncatedSeries, g: TruncatedSeries) -> tuple:
+    """Both coefficient tuples as stored when both series are exact, else as floats."""
+    if f.is_exact and g.is_exact:
+        return f.coeffs, g.coeffs
+    return tuple(map(float, f.coeffs)), tuple(map(float, g.coeffs))
+
+
 def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of f(g(x)); requires g_0 = 0.
 
-    Output order is min(order f, order g) - 1 + 1 coefficients, i.e. indices
-    0 .. min(N_f, N_g) - 1.  Computed through iterated Cauchy products of the
-    Taylor-normalized series (Horner over powers of g), O(N^3).
+    Output indices run 0 .. min(N_f, N_g) - 1.  (f o g)_m is
+    sum_k f_k B_{m,k}(g), with the partial Bell polynomials built column by
+    column from B_{m,k} = sum_i C(m-1, i-1) g_i B_{m-i,k-1}, O(N^3).
     """
     if g.coeffs[0] != 0:
         raise DomainError("composition requires g_0 = 0")
-    n_out = min(f.order, g.order) - 1
-    if n_out < 1:
+    n = min(f.order, g.order) - 1
+    if n < 1:
         raise DomainError("series too short to compose")
-    exact = f.is_exact and g.is_exact
-    one = Fraction(1) if exact else 1.0
-    a = [one * f.coeffs[k] / factorial(k) if exact else float(f.coeffs[k]) / factorial(k)
-         for k in range(n_out + 1)]
-    b = [one * g.coeffs[k] / factorial(k) if exact else float(g.coeffs[k]) / factorial(k)
-         for k in range(n_out + 1)]
-    zero = Fraction(0) if exact else 0.0
-
-    # c = sum_j a_j b^j, accumulated via Horner: c = a_n; c = c*b + a_j
-    c = [zero] * (n_out + 1)
-    c[0] = a[n_out]
-    for j in range(n_out - 1, -1, -1):
-        # multiply by b (valuation >= 1) and truncate
-        new = [zero] * (n_out + 1)
-        for i in range(n_out + 1):
-            if c[i] == 0:
-                continue
-            ci = c[i]
-            for m in range(1, n_out + 1 - i):
-                new[i + m] += ci * b[m]
-        new[0] += a[j]
-        c = new
-    out = [c[k] * factorial(k) for k in range(n_out + 1)]
+    fc, gc = _common_coeffs(f, g)
+    # w[m][j] = C(m-1, j) g_{m-j}, the weight of B_{j,k-1} in B_{m,k}
+    w = [[comb(m - 1, j) * gc[m - j] for j in range(m)] for m in range(n + 1)]
+    out = [fc[0]] + [0] * n
+    col = [1] + [0] * n  # B_{m,0}
+    for k in range(1, n + 1):
+        # B_{j,k-1} = 0 for j < k - 1, so the sums start at j = k - 1
+        col = [0] * k + [sum(map(mul, w[m][k - 1 :], col[k - 1 : m])) for m in range(k, n + 1)]
+        for m in range(k, n + 1):
+            out[m] += fc[k] * col[m]
     return TruncatedSeries(tuple(out))
 
 
@@ -133,16 +122,12 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     (C_f C_g M_0, rho_f + rho_g), re-verified on the stored prefix.
     """
     n_out = min(f.order, g.order)
-    exact = f.is_exact and g.is_exact
+    fc, gc = _common_coeffs(f, g)
     out = []
     for k in range(n_out + 1):
-        s = Fraction(0) if exact else 0.0
+        s = 0
         for i in range(k + 1):
-            fi, gk = f.coeffs[i], g.coeffs[k - i]
-            if exact:
-                s += comb(k, i) * fi * gk
-            else:
-                s += comb(k, i) * float(fi) * float(gk)
+            s += comb(k, i) * fc[i] * gc[k - i]
         out.append(s)
     cert = None
     if (

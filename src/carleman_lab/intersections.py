@@ -187,7 +187,10 @@ def _beta_ladder(k_j: Sequence[int], log_G: Sequence[float]) -> tuple[np.ndarray
     dG = np.diff(log_G)
     if np.any(dG <= 0.0):
         raise DomainError("escape ratios g/q-check not increasing along the trace")
-    s = 0.9 * float(np.min(dG / np.diff(t)))
+    # a step with k_j = 1 leaves t flat and puts no bound on s
+    dt = np.diff(t)
+    rising = dt > 0.0
+    s = 0.9 * float(np.min(dG[rising] / dt[rising]))
     if not s > 0.0:
         raise DomainError("no positive base level keeps the schedule decreasing")
     log_beta = s * t

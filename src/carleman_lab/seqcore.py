@@ -7,7 +7,6 @@ quantities like k! M_k never overflow even for k in the tens of thousands.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import lgamma, isfinite
 from typing import Callable, Iterable, Sequence
@@ -268,12 +267,3 @@ def fm_membership(coeffs: Sequence[float], W: WeightSequence, rho: float) -> flo
         - W.log_M[: n + 1][nz]
     )
     return float(np.exp(np.max(log_ratio)))
-
-
-def sequence_to_json(W: WeightSequence) -> str:
-    """Deterministic JSON export (sorted keys)."""
-    return json.dumps(W.to_dict(), sort_keys=True)
-
-
-def sequence_from_json(s: str) -> WeightSequence:
-    return WeightSequence.from_dict(json.loads(s))

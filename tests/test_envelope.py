@@ -14,7 +14,7 @@ from carleman_lab.envelope import (
     uncheck_scale,
     uncheck_sequence,
 )
-from carleman_lab.families import FamilySpec, make_family
+from carleman_lab.families import FamilySpec, make_family, parse_family
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -85,6 +85,7 @@ class TestLowerConvexEnvelope:
         values, contact, edge = segment_fill_envelope(y)
         assert np.array_equal(env.values, values)
         assert env.contact_set == contact
+        assert {type(i) for i in env.contact_set} == {int}
         assert env.is_edge_sensitive == edge
 
     def test_matches_brute_force_on_random_inputs(self):
@@ -233,7 +234,37 @@ def brute_force_compose(log_M, log_L, k):
     return best
 
 
+def double_loop_compose(M, L, n):
+    """The max-plus DP with a Python loop over (j, k): one np.max per entry."""
+    logL, logM = L.log_M[: n + 1], M.log_M[: n + 1]
+    G = np.full((n + 1, n + 1), -np.inf)
+    G[0, 0] = 0.0
+    for j in range(1, n + 1):
+        for k in range(j, n + 1):
+            a_hi = k - j + 1
+            G[k, j] = np.max(logL[1 : a_hi + 1] + G[k - 1 : j - 2 if j >= 2 else None : -1, j - 1])
+    out = np.empty(n + 1)
+    out[0] = logM[0]
+    for k in range(1, n + 1):
+        out[k] = np.max(logM[1 : k + 1] + G[k, 1 : k + 1])
+    return out
+
+
 class TestCompose:
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_double_loop_on_random_walks(self, seed, n):
+        rng = np.random.default_rng(seed)
+        M = WeightSequence("M", 0, np.cumsum(rng.normal(size=n + 3)))
+        L = WeightSequence("L", 0, np.cumsum(rng.normal(size=n + 3)))
+        assert np.array_equal(compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n))
+
+    @pytest.mark.parametrize("outer, inner, n", [("q:1:3", "p:1:2", 120), ("q18", "gevrey:1", 300)])
+    def test_matches_double_loop_on_families(self, outer, inner, n):
+        M = make_family(parse_family(outer), k_max=n)
+        L = make_family(parse_family(inner), k_max=n)
+        assert np.array_equal(compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n))
+
     def test_against_enumeration(self):
         rng = np.random.default_rng(11)
         log_M = np.cumsum(np.abs(rng.normal(size=13)))

@@ -33,6 +33,44 @@ def bell_numbers(n):
     return out
 
 
+def horner_compose(f, g):
+    """Composition by Horner's scheme over powers of g in Taylor normalisation.
+
+    The Fraction algorithm compose_series used before the Bell recurrence,
+    O(N^3) and exact; float inputs are read as the rationals they represent.
+    Returns a TruncatedSeries, so integral results collapse to int.
+    """
+    n = min(f.order, g.order) - 1
+    a = [Fraction(f.coeffs[k]) / math.factorial(k) for k in range(n + 1)]
+    b = [Fraction(g.coeffs[k]) / math.factorial(k) for k in range(n + 1)]
+    c = [Fraction(0)] * (n + 1)
+    c[0] = a[n]
+    for j in range(n - 1, -1, -1):
+        new = [Fraction(0)] * (n + 1)
+        for i in range(n + 1):
+            if c[i] == 0:
+                continue
+            for m in range(1, n + 1 - i):
+                new[i + m] += c[i] * b[m]
+        new[0] += a[j]
+        c = new
+    return TruncatedSeries(tuple(c[k] * math.factorial(k) for k in range(n + 1)))
+
+
+def _series(draw_coeff, inner):
+    """Strategy for a series of order 2..12; an inner series gets g_0 = 0."""
+    coeffs = st.lists(draw_coeff, min_size=3, max_size=13)
+    if inner:
+        coeffs = coeffs.map(lambda cs: [0 * cs[0]] + cs[1:])
+    return coeffs.map(lambda cs: TruncatedSeries(tuple(cs)))
+
+
+INTS = st.integers(-50, 50)
+EXACT = st.one_of(INTS, st.fractions(-5, 5, max_denominator=12))
+# no magnitudes below 1e-3, whose products would underflow
+FLOATS = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+
+
 def oracle_compose(f, g, n):
     """Composition coefficients by enumerating integer compositions (exact)."""
     a = [Fraction(f[k], math.factorial(k)) for k in range(n + 1)]
@@ -108,13 +146,42 @@ class TestCompose:
         assert [Fraction(c) for c in out.coeffs] == [Fraction(c) for c in oracle]
 
     def test_float_path_close_to_exact(self):
-        n = 14
-        f = TruncatedSeries(tuple([1.0] * (n + 1)))
-        g = TruncatedSeries(tuple([0.0] + [1.0] * n))
-        out = compose_series(f, g)
-        oracle = bell_numbers(out.order)
-        got = np.array([float(c) for c in out.coeffs])
-        np.testing.assert_allclose(got, [float(b) for b in oracle[: out.order + 1]], rtol=1e-12)
+        # order 200 is past k = 170, where k! no longer fits a float
+        for n in (14, 201):
+            f = TruncatedSeries(tuple([1.0] * (n + 1)))
+            g = TruncatedSeries(tuple([0.0] + [1.0] * n))
+            out = compose_series(f, g)
+            oracle = bell_numbers(out.order)
+            got = np.array([float(c) for c in out.coeffs])
+            np.testing.assert_allclose(got, [float(b) for b in oracle[: out.order + 1]], rtol=1e-12)
+
+    @given(f=_series(INTS, False), g=_series(INTS, True))
+    @settings(max_examples=60, deadline=None)
+    def test_int_matches_horner_in_value_and_type(self, f, g):
+        out, oracle = compose_series(f, g), horner_compose(f, g)
+        assert out.coeffs == oracle.coeffs
+        assert [type(c) for c in out.coeffs] == [type(c) for c in oracle.coeffs] == [int] * len(out.coeffs)
+
+    @given(f=_series(EXACT, False), g=_series(EXACT, True))
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_matches_horner_in_value_and_type(self, f, g):
+        out, oracle = compose_series(f, g), horner_compose(f, g)
+        assert out.coeffs == oracle.coeffs
+        assert [type(c) for c in out.coeffs] == [type(c) for c in oracle.coeffs]
+
+    @given(f=_series(FLOATS, False), g=_series(FLOATS, True))
+    @settings(max_examples=60, deadline=None)
+    def test_float_within_1e12_of_horner(self, f, g):
+        # error relative to |f| o |g|, the sum of the magnitudes of all terms,
+        # which is the plain relative error when no term cancels
+        out, oracle = compose_series(f, g), horner_compose(f, g)
+        scale = horner_compose(
+            TruncatedSeries(tuple(abs(c) for c in f.coeffs)),
+            TruncatedSeries(tuple(abs(c) for c in g.coeffs)),
+        )
+        assert all(isinstance(c, float) for c in out.coeffs)
+        for got, want, mag in zip(out.coeffs, oracle.coeffs, scale.coeffs):
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * mag
 
     def test_requires_zero_constant_term(self):
         f = TruncatedSeries((1, 1, 1))

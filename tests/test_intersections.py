@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from carleman_lab.envelope import check_scale, log_convex_minorant
 from carleman_lab.families import FamilySpec, make_family
 from carleman_lab.intersections import (
+    _beta_ladder,
     MajorantTrace,
     escape_log_coefficients,
     lprime_construction,
@@ -322,6 +324,21 @@ class TestLPrime:
         L = rescale(Q, 1.0, 2.0)
         with pytest.raises(DomainError):
             lprime_construction(Q, L)
+
+
+class TestBetaLadder:
+    def test_flat_step_puts_no_bound_on_the_base_level(self):
+        # k_1 = 1 gives t = (1, 1, 2); only the rising step bounds s
+        log_beta, log_b = _beta_ladder([1, 2, 4], [0.0, 1.0, 3.0])
+        np.testing.assert_array_equal(log_beta, 0.9 * 2.0 * np.array([1.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(log_b, log_beta - [0.0, 1.0, 3.0])
+
+    def test_unit_first_escape_index_raises_without_warning(self):
+        Q = make_family(FamilySpec("q_delta_n", delta=1.0, n=3), k_max=5000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not log-convex"):
+                separating_majorant(Q, escape_log_coefficients(Q, MARKED))
 
 
 class TestMajorantTraceValidation:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab.cli import dumps
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -14,8 +15,6 @@ from carleman_lab.seqcore import (
     log_factorial,
     normalize,
     rescale,
-    sequence_from_json,
-    sequence_to_json,
     tabulate,
 )
 
@@ -156,15 +155,14 @@ class TestSerialization:
     def test_json_round_trip_bit_exact(self):
         rng = np.random.default_rng(7)
         W = WeightSequence("rt", 0, np.cumsum(rng.normal(size=50)), claims=frozenset({"log-convex"}))
-        V = sequence_from_json(sequence_to_json(W))
+        V = WeightSequence.from_dict(json.loads(dumps(W.to_dict())))
         assert V.name == W.name
         assert V.claims == W.claims
         np.testing.assert_array_equal(V.log_M, W.log_M)
 
     def test_json_keys_sorted(self):
         W = tabulate(lambda k: float(k), 4, name="s")
-        s = sequence_to_json(W)
-        keys = list(json.loads(s).keys())
+        keys = list(json.loads(dumps(W.to_dict())).keys())
         assert keys == sorted(keys)
 
     def test_csv_header_and_shape(self):
