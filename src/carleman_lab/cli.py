@@ -207,13 +207,11 @@ def _run_predicate(predicate: str, W: WeightSequence) -> tuple[dict, int]:
 
 def _cmd_families(args) -> int:
     rows = []
-    for token in sorted(families.FAMILY_REGISTRY):
-        spec, description = families.FAMILY_REGISTRY[token]
+    for token, description, claims in sorted(families.FAMILY_REGISTRY.values()):
         row = {"token": token, "description": description}
-        if spec is not None:
-            W = families.make_family(spec, k_max=8)
-            row["label"] = spec.label()
-            row["claims"] = sorted(W.claims)
+        if ":" not in token:  # a parameterless family: its token is its label
+            row["label"] = token
+            row["claims"] = sorted(claims)
         rows.append(row)
     if args.format == "csv":
         lines = ["token,description"]
@@ -339,6 +337,8 @@ def run(argv: list[str]) -> int:
                 return EXIT_USAGE
             if then_args.command != "check":
                 raise DomainError("--then only chains into check")
+            if then_args.family is not None or then_args.kmax is not None:
+                raise DomainError("--family and --kmax must come before --then")
             report, code = _run_predicate(then_args.predicate, W)
             _emit(dumps(report))
             return code

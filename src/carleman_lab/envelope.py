@@ -155,6 +155,20 @@ def check_sequence(W: WeightSequence) -> WeightSequence:
     return WeightSequence(name=f"check({W.name})", k_min=0, log_M=out)
 
 
+def _kahan_cumsum(terms) -> np.ndarray:
+    """Compensated (Kahan) running sum, over Python floats."""
+    partial = []
+    s = 0.0
+    c = 0.0
+    for t in np.asarray(terms, dtype=float).tolist():
+        y = t - c
+        u = s + y
+        c = (u - s) - y
+        s = u
+        partial.append(s)
+    return np.array(partial)
+
+
 def uncheck_scale(log_mck: np.ndarray) -> np.ndarray:
     """log m from log m-check via m_k = mck_k (1 + sum_{j<=k} 1/mck_j).
 
@@ -162,16 +176,7 @@ def uncheck_scale(log_mck: np.ndarray) -> np.ndarray:
     compensated (Kahan) summation.
     """
     log_mck = np.asarray(log_mck, dtype=float)
-    partial = []
-    s = 0.0
-    c = 0.0
-    for inv in np.exp(-log_mck).tolist():
-        y = inv - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        partial.append(s)
-    return log_mck + np.log1p(partial)
+    return log_mck + np.log1p(_kahan_cumsum(np.exp(-log_mck)))
 
 
 def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:

@@ -3,18 +3,20 @@
 Covers the constant (real analytic) sequence, Gevrey sequences, the
 Q_k = (k log(k+e))^k / k! family with its primed variants, and the
 iterated-logarithm families Q^{delta,n} together with their hat / p
-companion scales.  All tabulations are produced in log-space.
+companion scales.  Each family is one numpy expression in log-space: a
+direct one for analytic, Gevrey and Q'', and M_k = q(idx)^idx / idx! at
+idx = k - 1 + kappa for every other family's scale q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, e as E, exp, lgamma, log
+from math import e as E, isfinite
 
 import numpy as np
 
-from .seqcore import DomainError, WeightSequence, log_factorial, tabulate
-from .envelope import uncheck_scale
+from .seqcore import DomainError, WeightSequence, log_factorial
+from .envelope import _kahan_cumsum, uncheck_scale
 
 __all__ = [
     "FamilySpec",
@@ -71,6 +73,32 @@ def q_scale(delta: float, n: int, ks: np.ndarray) -> np.ndarray:
     return q_scale(1.0, n - 1, ks) * iterated_log(ks, n) ** delta
 
 
+# Per-kind facts, keyed by FamilySpec.kind: the CLI token (S, D and N stand
+# for the parameters s, delta and n), a description, and the properties the
+# paper proves for every member of the family.
+FAMILY_REGISTRY = {
+    "analytic": ("analytic", "constant sequence (real analytic class)",
+        frozenset({"log-convex", "quasianalytic", "moderate-growth", "derivation-closed"})),
+    "gevrey": ("gevrey:S", "Gevrey sequence M_k = (k!)^s, pass e.g. gevrey:1",
+        frozenset({"log-convex", "non-quasianalytic", "moderate-growth", "derivation-closed"})),
+    "q18": ("q18", "Q_k = (k log(k+e))^k / k!",
+        frozenset({"log-convex", "quasianalytic", "moderate-growth"})),
+    "q18_prime": ("q18p", "Q' with check scale exactly k",
+        frozenset({"quasianalytic"})),
+    "q18_doubleprime": ("q18pp", "Q''_k = (log(k+e))^k",
+        frozenset({"log-convex", "quasianalytic"})),
+    "q_delta_n": ("q:D:N", "iterated-log family Q^{delta,n}, e.g. q:0.5:2",
+        frozenset({"log-convex", "quasianalytic", "moderate-growth"})),
+    "qhat_1_n": ("qhat:1:N", "hat companion of Q^{1,n}, e.g. qhat:1:2",
+        frozenset({"quasianalytic"})),
+    "p_delta_n": ("p:D:N", "slow companion family p^{delta,n}, e.g. p:0.3:2",
+        frozenset({"quasianalytic"})),
+}
+
+# token placeholder -> (FamilySpec field, parser)
+_PARAMS = {"S": ("s", float), "D": ("delta", float), "N": ("n", int)}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """kind + parameters of a built-in family."""
@@ -80,109 +108,62 @@ class FamilySpec:
     delta: float = 1.0  # iterated-log exponent
     n: int = 1          # tower depth
 
-    KINDS = (
-        "analytic",
-        "gevrey",
-        "q18",
-        "q18_prime",
-        "q18_doubleprime",
-        "q_delta_n",
-        "qhat_1_n",
-        "p_delta_n",
-    )
+    KINDS = tuple(FAMILY_REGISTRY)
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "gevrey" and not self.s > 0:
-            raise DomainError("gevrey requires s > 0")
+        if self.kind == "gevrey" and not (isfinite(self.s) and self.s > 0):
+            raise DomainError("gevrey requires a finite s > 0")
         if self.kind in ("q_delta_n", "p_delta_n") and not 0 < self.delta <= 1:
             raise DomainError("delta must be in (0, 1]")
         if self.kind in ("q_delta_n", "qhat_1_n", "p_delta_n") and not 1 <= self.n <= MAX_TOWER:
             raise DomainError(f"tower depth n must be in [1, {MAX_TOWER}]")
 
     def label(self) -> str:
-        if self.kind == "gevrey":
-            return f"gevrey:{self.s:g}"
-        if self.kind == "q_delta_n":
-            return f"q:{self.delta:g}:{self.n}"
-        if self.kind == "qhat_1_n":
-            return f"qhat:1:{self.n}"
-        if self.kind == "p_delta_n":
-            return f"p:{self.delta:g}:{self.n}"
-        return {"q18": "q18", "q18_prime": "q18p", "q18_doubleprime": "q18pp", "analytic": "analytic"}[self.kind]
+        fields = FAMILY_REGISTRY[self.kind][0].split(":")
+        return ":".join(f"{getattr(self, _PARAMS[f][0]):g}" if f in _PARAMS else f for f in fields)
 
 
-def _shifted_weight_sequence(name, scale_at, kap, k_max, claims=()):
-    """Weight sequence M_0 = 1, M_k = scale(k-1+kap)^{k-1+kap} / (k-1+kap)!."""
-    ks = np.arange(1, k_max + 1, dtype=float)
-    idx = ks - 1.0 + kap
-    log_scale = scale_at(idx)
-    log_M = idx * log_scale - log_factorial(idx)
-    out = np.concatenate(([0.0], log_M))
-    return WeightSequence(name=name, k_min=0, log_M=out, claims=frozenset(claims))
+def _power_over_factorial(idx: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """log(q^idx / idx!) from log q."""
+    return idx * log_q - log_factorial(idx)
 
 
 def make_family(spec: FamilySpec, k_max: int = 10_000) -> WeightSequence:
-    """Tabulate a built-in family through k_max (log-space)."""
+    """Tabulate a built-in family through k_max (log-space), with M_0 = 1.
+
+    Q and Q' take kappa = 1 in M_k = q(idx)^idx / idx!, idx = k - 1 + kappa.
+    """
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
-    name = spec.label()
+    ks = np.arange(1, k_max + 1, dtype=float)
     if spec.kind == "analytic":
-        return tabulate(
-            lambda k: 0.0, k_max, name=name,
-            claims={"log-convex", "quasianalytic", "moderate-growth", "derivation-closed"},
-        )
-    if spec.kind == "gevrey":
-        s = spec.s
-        return tabulate(
-            lambda k: s * lgamma(k + 1), k_max, name=name,
-            claims={"log-convex", "non-quasianalytic", "moderate-growth", "derivation-closed"},
-        )
-    if spec.kind == "q18":
-        def logq18(k):
-            if k == 0:
-                return 0.0
-            return k * log(k * log(k + E)) - lgamma(k + 1)
-        return tabulate(
-            logq18, k_max, name=name,
-            claims={"log-convex", "quasianalytic", "moderate-growth"},
-        )
-    if spec.kind == "q18_prime":
+        log_M = np.zeros(k_max)
+    elif spec.kind == "gevrey":
+        # an overflow surfaces as the non-finite log M error below
+        with np.errstate(over="ignore"):
+            log_M = spec.s * log_factorial(ks)
+    elif spec.kind == "q18_doubleprime":
+        log_M = ks * np.log(np.log(ks + E))
+    elif spec.kind == "q18":
+        log_M = _power_over_factorial(ks, np.log(ks * np.log(ks + E)))
+    elif spec.kind == "q18_prime":
         # check scale is exactly mck_k = k; Q' recovered by the uncheck map
-        ks = np.arange(1, k_max + 1, dtype=float)
-        log_m = uncheck_scale(np.log(ks))
-        log_M = ks * log_m - log_factorial(ks)
-        out = np.concatenate(([0.0], log_M))
-        return WeightSequence(name=name, k_min=0, log_M=out, claims=frozenset({"quasianalytic"}))
-    if spec.kind == "q18_doubleprime":
-        return tabulate(
-            lambda k: k * log(log(k + E)), k_max, name=name,
-            claims={"log-convex", "quasianalytic"},
-        )
-    if spec.kind == "q_delta_n":
-        kap = kappa(spec.n)
-        claims = {"log-convex", "quasianalytic", "moderate-growth"}
-        return _shifted_weight_sequence(
-            name, lambda idx: np.log(q_scale(spec.delta, spec.n, idx)), kap, k_max, claims
-        )
-    if spec.kind in ("qhat_1_n", "p_delta_n"):
-        return harmonic_hat(spec, k_max)[0]
-    raise DomainError(f"unknown family kind {spec.kind!r}")  # pragma: no cover
+        log_M = _power_over_factorial(ks, uncheck_scale(np.log(ks)))
+    elif spec.kind == "q_delta_n":
+        idx = ks - 1.0 + kappa(spec.n)
+        log_M = _power_over_factorial(idx, np.log(q_scale(spec.delta, spec.n, idx)))
+    else:
+        idx, scale, _ = _companion_scale(spec, k_max)
+        log_M = _power_over_factorial(idx, np.log(scale))
+    claims = FAMILY_REGISTRY[spec.kind][2]
+    return WeightSequence(spec.label(), 0, np.concatenate(([0.0], log_M)), claims)
 
 
-def _kahan_cumsum(terms: np.ndarray) -> np.ndarray:
-    """Compensated running sum for slowly convergent series."""
-    out = np.empty_like(terms)
-    s = 0.0
-    c = 0.0
-    for i, t in enumerate(terms):
-        y = t - c
-        u = s + y
-        c = (u - s) - y
-        s = u
-        out[i] = s
-    return out
+def _harmonic(base: np.ndarray) -> np.ndarray:
+    """base_k (1 + sum_{j<=k} 1/base_j), with compensated partial sums."""
+    return base * (1.0 + _kahan_cumsum(1.0 / base))
 
 
 def hat_scale(n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,11 +177,7 @@ def hat_scale(n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if k_hi < kap:
         raise DomainError(f"k_hi must be >= kappa_{n} = {kap}")
     ks = np.arange(kap, k_hi + 1, dtype=float)
-    base = q_scale(1.0, n - 1, ks)
-    sums = _kahan_cumsum(1.0 / base)
-    hat = base * (1.0 + sums)
-    plain = q_scale(1.0, n, ks)
-    return ks, hat, plain
+    return ks, _harmonic(q_scale(1.0, n - 1, ks)), q_scale(1.0, n, ks)
 
 
 def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -216,9 +193,21 @@ def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     if k_hi < kap:
         raise DomainError(f"k_hi must be >= kappa_{n} = {kap}")
     ks = np.arange(kap, k_hi + 1, dtype=float)
-    base = q_scale(delta, n, ks)
-    sums = _kahan_cumsum(1.0 / base)
-    return ks, base * (1.0 + sums)
+    return ks, _harmonic(q_scale(delta, n, ks))
+
+
+def _companion_scale(spec: FamilySpec, k_max: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(idx, hat or p scale at idx, (delta, d)) for idx = kappa_d .. k_max - 1 + kappa_d.
+
+    hat-q^{1,n} = p^{1,n-1}, and p^{1,n} = hat-q^{1,n+1} sits at depth d = n + 1;
+    q^{delta,d} is the plain counterpart of the scale.
+    """
+    if spec.kind not in ("qhat_1_n", "p_delta_n"):
+        raise DomainError("harmonic_hat expects a qhat_1_n or p_delta_n spec")
+    delta, n = (1.0, spec.n - 1) if spec.kind == "qhat_1_n" else (spec.delta, spec.n)
+    depth = n + 1 if delta == 1.0 else n
+    ks, scale = p_scale(delta, n, k_max - 1 + kappa(depth))
+    return ks, scale, (delta, depth)
 
 
 def harmonic_hat(spec: FamilySpec, k_max: int = 10_000) -> tuple[WeightSequence, np.ndarray, np.ndarray]:
@@ -226,88 +215,36 @@ def harmonic_hat(spec: FamilySpec, k_max: int = 10_000) -> tuple[WeightSequence,
 
     Returns (sequence, ks, ratio) where ratio_k compares the hat/p scale with
     its plain counterpart: hat-q^{1,n}_k / q^{1,n}_k, respectively
-    p^{delta,n}_k / q^{delta,n}_k.
+    p^{delta,n}_k / q^{delta,n}_k (for delta = 1, hat-q^{1,n+1}_k / q^{1,n+1}_k).
     """
-    if spec.kind == "qhat_1_n":
-        n = spec.n
-        kap = kappa(n)
-        k_hi = k_max - 1 + kap
-        ks, hat, plain = hat_scale(n, k_hi)
-        ratio = hat / plain
-        scale_log = np.log(hat)
-    elif spec.kind == "p_delta_n":
-        n, delta = spec.n, spec.delta
-        if delta == 1.0:
-            # p^{1,n} = hat-q^{1,n+1}; the weight sequence is the depth-(n+1) hat
-            seq, ks, ratio = harmonic_hat(FamilySpec("qhat_1_n", n=n + 1), k_max)
-            return seq.with_name(spec.label()), ks, ratio
-        kap = kappa(n)
-        k_hi = k_max - 1 + kap
-        ks, pvals = p_scale(delta, n, k_hi)
-        ratio = pvals / q_scale(delta, n, ks)
-        scale_log = np.log(pvals)
-    else:
-        raise DomainError("harmonic_hat expects a qhat_1_n or p_delta_n spec")
-    idx = ks
-    log_M = idx * scale_log - log_factorial(idx)
-    out = np.concatenate(([0.0], log_M[:k_max]))
-    seq = WeightSequence(name=spec.label(), k_min=0, log_M=out, claims=frozenset({"quasianalytic"}))
-    return seq, ks, ratio
-
-
-# -- registry ----------------------------------------------------------------
-
-FAMILY_REGISTRY = {
-    "analytic": (FamilySpec("analytic"), "constant sequence (real analytic class)"),
-    "gevrey:S": (None, "Gevrey sequence M_k = (k!)^s, pass e.g. gevrey:1"),
-    "q18": (FamilySpec("q18"), "Q_k = (k log(k+e))^k / k!"),
-    "q18p": (FamilySpec("q18_prime"), "Q' with check scale exactly k"),
-    "q18pp": (FamilySpec("q18_doubleprime"), "Q''_k = (log(k+e))^k"),
-    "q:D:N": (None, "iterated-log family Q^{delta,n}, e.g. q:0.5:2"),
-    "qhat:1:N": (None, "hat companion of Q^{1,n}, e.g. qhat:1:2"),
-    "p:D:N": (None, "slow companion family p^{delta,n}, e.g. p:0.3:2"),
-}
+    ks, scale, (delta, depth) = _companion_scale(spec, k_max)
+    return make_family(spec, k_max), ks, scale / q_scale(delta, depth, ks)
 
 
 def parse_family(token: str) -> FamilySpec:
     """Parse a CLI family token like 'q18', 'gevrey:1', 'q:0.5:2'."""
     parts = token.split(":")
-    head = parts[0]
-    try:
-        if head == "analytic" and len(parts) == 1:
-            return FamilySpec("analytic")
-        if head == "gevrey" and len(parts) == 2:
-            return FamilySpec("gevrey", s=float(parts[1]))
-        if head == "q18" and len(parts) == 1:
-            return FamilySpec("q18")
-        if head == "q18p" and len(parts) == 1:
-            return FamilySpec("q18_prime")
-        if head == "q18pp" and len(parts) == 1:
-            return FamilySpec("q18_doubleprime")
-        if head == "q" and len(parts) == 3:
-            return FamilySpec("q_delta_n", delta=float(parts[1]), n=int(parts[2]))
-        if head == "qhat" and len(parts) == 3 and parts[1] == "1":
-            return FamilySpec("qhat_1_n", n=int(parts[2]))
-        if head == "p" and len(parts) == 3:
-            return FamilySpec("p_delta_n", delta=float(parts[1]), n=int(parts[2]))
-    except ValueError as exc:
-        raise DomainError(f"bad family token {token!r}: {exc}") from exc
+    for kind, (pattern, _, _) in FAMILY_REGISTRY.items():
+        fields = pattern.split(":")
+        if len(fields) != len(parts) or fields[0] != parts[0]:
+            continue
+        params = {}
+        try:
+            for field, part in zip(fields[1:], parts[1:]):
+                if field in _PARAMS:
+                    name, convert = _PARAMS[field]
+                    params[name] = convert(part)
+                elif field != part:
+                    break
+            else:
+                return FamilySpec(kind, **params)
+        except ValueError as exc:
+            raise DomainError(f"bad family token {token!r}: {exc}") from exc
     raise DomainError(f"unknown family {token!r}")
 
 
 def builtin_sequences(k_max: int = 10_000) -> dict[str, WeightSequence]:
     """The standard battery used by diagnostics and the test suite."""
-    specs = [
-        FamilySpec("analytic"),
-        FamilySpec("gevrey", s=0.5),
-        FamilySpec("gevrey", s=1.0),
-        FamilySpec("gevrey", s=2.0),
-        FamilySpec("q18"),
-        FamilySpec("q18_prime"),
-        FamilySpec("q18_doubleprime"),
-        FamilySpec("q_delta_n", delta=1.0, n=1),
-        FamilySpec("q_delta_n", delta=0.5, n=2),
-        FamilySpec("q_delta_n", delta=1.0, n=2),
-        FamilySpec("q_delta_n", delta=1.0, n=3),
-    ]
-    return {sp.label(): make_family(sp, k_max) for sp in specs}
+    tokens = ("analytic", "gevrey:0.5", "gevrey:1", "gevrey:2", "q18", "q18p", "q18pp",
+              "q:1:1", "q:0.5:2", "q:1:2", "q:1:3")
+    return {token: make_family(parse_family(token), k_max) for token in tokens}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite, lgamma
+from math import comb, isfinite, lgamma, log
 from operator import mul
 from typing import Optional, Sequence
 
@@ -145,6 +145,16 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out), certificate=cert)
 
 
+def _log_abs(c) -> float:
+    """log|c|; exact coefficients beyond the float range are taken exactly."""
+    try:
+        return np.log(abs(float(c)))
+    except OverflowError:
+        if isinstance(c, Fraction):
+            return log(abs(c.numerator)) - log(c.denominator)
+        return log(abs(c))
+
+
 def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     """Check |(f o g)_k| <= C* tau^k k! (M o L)_k for 1 <= k <= N.
 
@@ -176,10 +186,7 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
         log_bound = (
             np.log(C_star) + k * np.log(tau) + lgamma(k + 1) + ML.log_M[k]
         )
-        if ck == 0:
-            sl = float("inf")
-        else:
-            sl = float(log_bound - np.log(abs(float(ck))))
+        sl = float("inf") if ck == 0 else float(log_bound - _log_abs(ck))
         slack.append(sl)
         if sl < -1e-9:
             violations.append(k)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
 ]
 
 _MIN_BLOCKS = 3
+_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,8 @@ def escape_log_coefficients(
     """
     if Q.k_min != 0:
         raise DomainError("witness construction needs a tabulation from k = 0")
+    if not (isfinite(factor) and factor > 0):
+        raise DomainError(f"escape factor must be finite and positive, got {factor}")
     scales = DerivedScales.from_weight_sequence(Q)
     log_q = scales.log_m
     log_qck = envelope.check_scale(scales)
@@ -214,6 +218,8 @@ def _prepare(Q: WeightSequence, f) -> dict:
         raise DomainError("f not separably outside F^Q on this prefix")
     log_G = [log_g[k - 1] - log_qck[k - 1] for k in k_j]
     log_beta, log_b = _beta_ladder(k_j, log_G)
+    if np.any(-(np.asarray(log_a) + log_b) > _LOG_FLOAT_MAX):
+        raise DomainError("escape too large: a bound 1/(a_j b_j) exceeds the float range")
     return {
         "scales": scales,
         "log_q": log_q,

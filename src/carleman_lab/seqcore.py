@@ -8,7 +8,7 @@ quantities like k! M_k never overflow even for k in the tens of thousands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma, isfinite
+from math import lgamma
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -200,12 +200,7 @@ def tabulate(
     if k_max < k_min + 2:
         raise DomainError("k_max must be at least k_min + 2")
     if callable(spec):
-        vals = np.empty(k_max - k_min + 1)
-        for i, k in enumerate(range(k_min, k_max + 1)):
-            v = float(spec(k))
-            if not isfinite(v):
-                raise DomainError(f"non-finite log M at k={k}")
-            vals[i] = v
+        vals = np.array([float(spec(k)) for k in range(k_min, k_max + 1)])
     else:
         vals = np.asarray(list(spec), dtype=float)[: k_max - k_min + 1]
         if len(vals) != k_max - k_min + 1:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carleman_lab
+from carleman_lab import cli
 from carleman_lab.families import make_family, parse_family
 from carleman_lab.seqcore import WeightSequence
 
@@ -132,6 +136,15 @@ class TestPipelines:
         r = run_cli("seq", "--family", "q18", "--kmax", "50", "--then", "seq")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("flag", [["--family", "q:1:2"], ["--kmax", "40"]])
+    def test_then_rejects_input_flags(self, flag):
+        # the check runs on the piped sequence; a second input would be ignored
+        r = run_cli("seq", "--family", "q18", "--kmax", "50",
+                    "--then", "check", "log-convex", *flag)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr == "error: --family and --kmax must come before --then\n"
+
 
 class TestEnvironment:
     def test_kmax_env_override(self):
@@ -172,6 +185,94 @@ class TestSubcommands:
         assert len(rep["block_sums"]) == len(rep["bound_1_over_ab"]) == 3
         assert d["k_j"] == [10, 40, 160, 640]
 
+    @pytest.mark.parametrize("factor", ["0", "-1", "inf", "nan"])
+    def test_majorant_bad_factor(self, factor):
+        r = run_cli("majorant", "--family", "q18", "--kmax", "200", "--marked", "10,40",
+                    "--factor", factor)
+        assert r.returncode == 3
+        assert r.stdout == ""
+        assert r.stderr.startswith("error: escape factor must be finite and positive")
+        assert len(r.stderr.splitlines()) == 1
+
+    def test_fdb_bound_past_float_range(self):
+        # exact coefficients pass 1.8e308 from order 200 or so on
+        r = run_cli("fdb", "bound", "--order", "230")
+        assert (r.returncode, r.stderr) == (0, "")
+        d = json.loads(r.stdout)
+        assert d["ok"] and d["violations"] == [] and d["order"] == 230
+        assert all(np.isfinite(d["log_slack"]))
+
     def test_compare_holds(self):
         r = run_cli("compare", "--family", "q18", "--with", "gevrey:1", "--kmax", "2000")
         assert r.returncode == 0
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+VALID_TOKENS = [
+    "analytic", "gevrey:1", "gevrey:0.5", "q18", "q18p", "q18pp", "q:1:1", "q:0.5:2", "q:1:3",
+    "qhat:1:2", "p:0.5:2", "p:1:1",
+]
+TOKENS = st.one_of(
+    st.sampled_from(VALID_TOKENS),
+    st.sampled_from([
+        "gevrey:inf", "gevrey:1e308", "gevrey:-1", "gevrey:nan", "gevrey", "q18:1", "q:2:2",
+        "q:0.5:9", "q:0.5:x", "qhat:2:2", "qhat:1:3", "p:1:3", "p:0.3:1", "frob", "", ":",
+    ]),
+    st.text(alphabet="qhatpgevry18:.-0259einf", max_size=10),
+)
+FACTOR = st.one_of(
+    st.sampled_from(["0", "-1", "inf", "-inf", "nan", "2", "1e308", "x"]),
+    st.floats().map(repr),
+)
+
+
+def marked(kmax):
+    """--marked lists: increasing escape indices inside the prefix, or any list."""
+    return st.one_of(
+        st.lists(st.integers(1, max(kmax, 3)), min_size=3, max_size=5, unique=True).map(sorted),
+        st.lists(st.integers(-2, 450), max_size=5),
+    ).map(lambda ks: ",".join(map(str, ks)))
+
+
+@st.composite
+def argvs(draw):
+    kmax = draw(st.integers(-3, 400))
+    family = ["--family", draw(TOKENS), "--kmax", str(kmax)]
+    fmt = draw(st.sampled_from([[], ["--format", "csv"]]))
+    command = draw(st.sampled_from(
+        ["families", "seq", "checkseq", "minorant", "check", "compose", "compare", "majorant", "fdb"]
+    ))
+    if command == "families":
+        argv = [command] + fmt
+    elif command == "fdb":
+        argv = [command, draw(st.sampled_from(["bell", "bound"])), "--order",
+                str(draw(st.integers(-2, 40)))] + fmt
+    elif command == "check":
+        argv = [command, draw(st.sampled_from(cli.CHECK_PREDICATES))] + family
+    elif command in ("compose", "compare"):
+        argv = [command, "--with", draw(TOKENS)] + family + fmt
+    elif command == "majorant":
+        # q18 and q18p have log-convex check sequences, so both constructions run on them
+        family[1] = draw(st.one_of(st.sampled_from(["q18", "q18p"]), TOKENS))
+        argv = [command] + family + ["--marked", draw(marked(kmax))]
+        argv += draw(st.sampled_from([[], ["--factor", draw(FACTOR)]]))
+        argv += draw(st.sampled_from([[], ["--weak"]]))
+    else:
+        argv = [command] + family + fmt + draw(st.sampled_from([[], ["--weak"]]))
+    if draw(st.booleans()):
+        argv += ["--then", "check", draw(st.sampled_from(cli.CHECK_PREDICATES))]
+        argv += draw(st.sampled_from(
+            [[], ["--family", draw(TOKENS)], ["--kmax", str(draw(st.integers(-3, 400)))]]
+        ))
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argvs())
+    def test_run_returns_an_exit_code(self, argv):
+        # any exception or RuntimeWarning (an error in this suite) fails the test
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+        assert code in (0, 1, 2, 3)

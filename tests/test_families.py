@@ -16,7 +16,9 @@ from carleman_lab.families import (
     parse_family,
     q_scale,
 )
-from carleman_lab.seqcore import DerivedScales, DomainError
+from carleman_lab import cli
+from carleman_lab.envelope import uncheck_scale
+from carleman_lab.seqcore import DerivedScales, DomainError, WeightSequence, log_factorial, tabulate
 
 
 class TestKappa:
@@ -155,3 +157,138 @@ class TestKappaOracle:
         for n in (1, 2, 3):
             x = mpmath.exp(x)
             assert kappa(n) == int(mpmath.ceil(x))
+
+
+# -- per-k oracles: the tabulation formulas the vectorised path replaced ------
+
+
+def oracle_family(token, k_max):
+    """log M_0..k_max by the former per-family code paths."""
+    spec = parse_family(token)
+    if spec.kind == "analytic":
+        return tabulate(lambda k: 0.0, k_max).log_M
+    if spec.kind == "gevrey":
+        return tabulate(lambda k: spec.s * math.lgamma(k + 1), k_max).log_M
+    if spec.kind == "q18":
+        def logq18(k):
+            if k == 0:
+                return 0.0
+            return k * math.log(k * math.log(k + math.e)) - math.lgamma(k + 1)
+        return tabulate(logq18, k_max).log_M
+    if spec.kind == "q18_doubleprime":
+        return tabulate(lambda k: k * math.log(math.log(k + math.e)), k_max).log_M
+    if spec.kind == "q18_prime":
+        ks = np.arange(1, k_max + 1, dtype=float)
+        log_m = uncheck_scale(np.log(ks))
+        return np.concatenate(([0.0], ks * log_m - log_factorial(ks)))
+    if spec.kind == "q_delta_n":
+        idx = np.arange(1, k_max + 1, dtype=float) - 1.0 + kappa(spec.n)
+        log_scale = np.log(q_scale(spec.delta, spec.n, idx))
+        return np.concatenate(([0.0], idx * log_scale - log_factorial(idx)))
+    # qhat / p: the scale at idx = kappa .. k_max - 1 + kappa, numpy-scalar Kahan sums
+    if spec.kind == "p_delta_n" and spec.delta == 1.0:
+        return oracle_family(f"qhat:1:{spec.n + 1}", k_max)
+    if spec.kind == "qhat_1_n":
+        ks, scale, _ = oracle_hat_scale(spec.n, k_max - 1 + kappa(spec.n))
+    else:
+        ks, scale = oracle_p_scale(spec.delta, spec.n, k_max - 1 + kappa(spec.n))
+    return np.concatenate(([0.0], (ks * np.log(scale) - log_factorial(ks))[:k_max]))
+
+
+def oracle_kahan_cumsum(terms):
+    out = np.empty_like(terms)
+    s = 0.0
+    c = 0.0
+    for i, t in enumerate(terms):
+        y = t - c
+        u = s + y
+        c = (u - s) - y
+        s = u
+        out[i] = s
+    return out
+
+
+def oracle_hat_scale(n, k_hi):
+    ks = np.arange(kappa(n), k_hi + 1, dtype=float)
+    base = q_scale(1.0, n - 1, ks)
+    return ks, base * (1.0 + oracle_kahan_cumsum(1.0 / base)), q_scale(1.0, n, ks)
+
+
+def oracle_p_scale(delta, n, k_hi):
+    if delta == 1.0:
+        ks, hat, _ = oracle_hat_scale(n + 1, k_hi)
+        return ks, hat
+    ks = np.arange(kappa(n), k_hi + 1, dtype=float)
+    base = q_scale(delta, n, ks)
+    return ks, base * (1.0 + oracle_kahan_cumsum(1.0 / base))
+
+
+class TestTabulationOracles:
+    def test_bit_identical_at_1e4(self):
+        # q18 and q18pp take their inner log from np.log instead of math.log,
+        # which may differ in the last bit; they are compared below
+        tokens = [t for t in builtin_sequences(k_max=8) if t not in ("q18", "q18pp")]
+        for token in tokens + ["qhat:1:2", "p:0.5:2", "p:1:1"]:
+            W = make_family(parse_family(token), k_max=10_000)
+            np.testing.assert_array_equal(W.log_M, oracle_family(token, 10_000), err_msg=token)
+
+    def test_q18_and_q18pp_within_4_ulp_at_1e5(self):
+        for token in ("q18", "q18pp"):
+            W = make_family(parse_family(token), k_max=100_000)
+            np.testing.assert_allclose(W.log_M, oracle_family(token, 100_000), rtol=1e-15, atol=0)
+
+    def test_names_and_claims_unchanged(self):
+        lc_qa_mg = {"log-convex", "quasianalytic", "moderate-growth"}
+        claims = {
+            "analytic": lc_qa_mg | {"derivation-closed"},
+            "gevrey:1": {"log-convex", "non-quasianalytic", "moderate-growth", "derivation-closed"},
+            "q18": lc_qa_mg,
+            "q18p": {"quasianalytic"},
+            "q18pp": {"log-convex", "quasianalytic"},
+            "q:0.5:2": lc_qa_mg,
+            "qhat:1:2": {"quasianalytic"},
+            "p:0.5:2": {"quasianalytic"},
+            "p:1:1": {"quasianalytic"},
+        }
+        for token, want in claims.items():
+            W = make_family(parse_family(token), k_max=8)
+            assert (W.name, W.claims) == (token, want)
+
+    def test_kahan_scales_bit_identical_at_1e5(self):
+        k_hi = 100_000
+        for got, want in (
+            (hat_scale(2, k_hi), oracle_hat_scale(2, k_hi)),
+            (hat_scale(3, kappa(3) + k_hi), oracle_hat_scale(3, kappa(3) + k_hi)),
+            (p_scale(0.5, 2, k_hi), oracle_p_scale(0.5, 2, k_hi)),
+            (p_scale(1.0, 1, k_hi), oracle_p_scale(1.0, 1, k_hi)),
+        ):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_harmonic_hat_ratio(self):
+        for token, (delta, n) in (("qhat:1:2", (1.0, 2)), ("p:0.5:2", (0.5, 2)), ("p:1:1", (1.0, 2))):
+            seq, ks, ratio = harmonic_hat(parse_family(token), k_max=500)
+            assert seq.name == token
+            np.testing.assert_array_equal(seq.log_M, make_family(parse_family(token), 500).log_M)
+            assert ks[0] == kappa(n) and len(ks) == 500
+            scale = np.exp((seq.log_M[1:] + log_factorial(ks)) / ks)
+            np.testing.assert_allclose(ratio, scale / q_scale(delta, n, ks), rtol=1e-12)
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("token", ["gevrey:inf", "gevrey:1e308", "gevrey:nan", "gevrey:-1"])
+    def test_gevrey_exits_3_without_warning(self, token, capsys):
+        # the suite turns a RuntimeWarning into an error
+        assert cli.run(["seq", "--family", token, "--kmax", "50"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_gevrey_overflow_is_a_non_finite_entry(self):
+        with pytest.raises(DomainError, match="non-finite log M at k=4"):
+            make_family(parse_family("gevrey:1e308"), k_max=50)
+
+    def test_spec_rejects_non_finite_s(self):
+        for s in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError):
+                FamilySpec("gevrey", s=s)

@@ -248,6 +248,18 @@ class TestCompositionBound:
         # the bound is sharp at k = 1: slack exactly 0
         assert rep["log_slack"][0] == pytest.approx(0.0, abs=1e-12)
 
+    def test_exact_coefficients_past_float_range(self):
+        # (f o g)_k = B_k and B_k / 3 pass 1.8e308 near k = 220; their logs are taken exactly
+        f, g = self._analytic_pair(230)
+        third = TruncatedSeries(tuple(Fraction(1, 3) for _ in f.coeffs), certificate=f.certificate)
+        rep, rep3 = verify_composition_bound(f, g), verify_composition_bound(third, g)
+        assert rep["ok"] and rep3["ok"]
+        with pytest.raises(OverflowError):
+            float(compose_series(f, g).coeffs[-1])
+        np.testing.assert_allclose(
+            np.subtract(rep3["log_slack"], rep["log_slack"]), math.log(3.0), rtol=0, atol=1e-9
+        )
+
     def test_requires_certificates(self):
         f = TruncatedSeries((1, 1, 1))
         g = TruncatedSeries((0, 1, 1))

@@ -63,6 +63,11 @@ class TestWitness:
             expect = math.lgamma(k + 1) + k * (math.log(2.0) + sc.log_m[k - 1])
             assert witness[k] == pytest.approx(expect, rel=1e-15)
 
+    @pytest.mark.parametrize("factor", [0.0, -1.0, math.inf, math.nan])
+    def test_factor_must_be_finite_and_positive(self, q18, factor):
+        with pytest.raises(DomainError, match="escape factor"):
+            escape_log_coefficients(q18, MARKED, factor=factor)
+
     def test_bad_marked_index(self, q18):
         with pytest.raises(DomainError):
             escape_log_coefficients(q18, [0])
@@ -339,6 +344,13 @@ class TestBetaLadder:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="not log-convex"):
                 separating_majorant(Q, escape_log_coefficients(Q, MARKED))
+
+    @pytest.mark.parametrize("build", [separating_majorant, separating_majorant_weak])
+    def test_bound_past_float_range(self, build):
+        # b_j ~ 1e-308^k_j: 1/(a_j b_j) would overflow (a RuntimeWarning here)
+        Q = make_family(FamilySpec("q18"), k_max=400)
+        with pytest.raises(DomainError, match="float range"):
+            build(Q, escape_log_coefficients(Q, [10, 40, 160], factor=1e308))
 
 
 class TestMajorantTraceValidation:
