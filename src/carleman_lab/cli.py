@@ -17,8 +17,11 @@ Sequence-valued commands can feed a predicate with ``--then``, e.g.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from itertools import chain
+from math import isfinite
 
 import numpy as np
 
@@ -48,16 +51,6 @@ CHECK_PREDICATES = (
 # -- deterministic JSON -------------------------------------------------------
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
-    return format(x, ".17g")
-
-
 def dumps(obj) -> str:
     """JSON with sorted keys and floats at 17 significant digits."""
     if obj is None:
@@ -69,15 +62,20 @@ def dumps(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
+        x = float(obj)
+        if isfinite(x):
+            return format(x, ".17g")
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in sorted(obj.items()))
         return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float} and isfinite(sum(obj)):  # all finite floats
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
@@ -123,7 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run a predicate")
     sp.add_argument("predicate", choices=CHECK_PREDICATES)
     common(sp, family_required=False)
-    sp.add_argument("--weak", action="store_true", help="weak variant where applicable")
 
     sp = sub.add_parser("compose", help="compose two families (M o L)")
     common(sp)
@@ -158,9 +155,9 @@ def _emit(text: str) -> None:
 
 
 def _write_plot(path: str, W: WeightSequence) -> None:
-    lines = [f"{k} {W.log_M[i]:.17g}" for i, k in enumerate(W.ks)]
+    rows = tuple(chain.from_iterable(zip(W.ks.tolist(), W.log_M.tolist())))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(("%d %.17g\n" * len(W.log_M)) % rows)
 
 
 def _emit_sequence(W: WeightSequence, args) -> None:
@@ -317,6 +314,8 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
 
     try:
+        if tail is not None and args.command not in ("seq", "checkseq", "minorant", "compose"):
+            raise DomainError("--then follows only seq, checkseq, minorant or compose")
         kmax = args.kmax if getattr(args, "kmax", None) is not None else _default_kmax()
         if args.command == "families":
             return _cmd_families(args)

@@ -57,7 +57,7 @@ class EnvelopeResult:
 
     def to_dict(self) -> dict:
         return {
-            "values": [float(v) for v in self.values],
+            "values": self.values.tolist(),
             "contact_set": list(self.contact_set),
             "edge_sensitive": bool(self.is_edge_sensitive),
         }

@@ -169,9 +169,9 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
         raise DomainError("composition requires g_0 = 0")
     M = f.certificate.seq
     L = g.certificate.seq
+    n = min(f.order, g.order) - 1  # the order of f o g
+    ML = compose_sequences(M, L, n)  # checks its cap before the O(n^3) compose_series
     fg = compose_series(f, g)
-    n = fg.order
-    ML = compose_sequences(M, L, n)
     rho_f, C_f = f.certificate.rho, f.certificate.C
     rho_g, C_g = g.certificate.rho, g.certificate.C
     tau = rho_g * (1.0 + rho_f * C_g)

@@ -67,7 +67,7 @@ class Verdict:
             "margin": float(self.margin),
             "statistic_trace": []
             if self.statistic_trace is None
-            else [float(v) for v in self.statistic_trace],
+            else self.statistic_trace.tolist(),
         }
 
 

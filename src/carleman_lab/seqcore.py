@@ -8,6 +8,7 @@ quantities like k! M_k never overflow even for k in the tens of thousands.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import lgamma
 from typing import Callable, Iterable, Sequence
 
@@ -48,12 +49,35 @@ _RESCALE_STABLE_CLAIMS = frozenset(
 )
 
 
+_LGAMMA_CEIL = 1 << 20  # at most 2^20 table entries (8 MB)
+_lgamma_table = np.empty(0)  # lgamma(i + 1.0) at i; grown lazily, an entry is never rewritten
+
+
+def _lgamma_plus_one(arr: np.ndarray) -> np.ndarray:
+    vals = map(lgamma, (arr + 1.0).ravel().tolist())
+    return np.fromiter(vals, dtype=float, count=arr.size).reshape(arr.shape)
+
+
 def log_factorial(k) -> np.ndarray | float:
-    """log k! via log-gamma; accepts scalars or integer arrays."""
+    """log k! via log-gamma; accepts scalars or arrays of any shape.
+
+    Arrays of non-negative integers below 2^20 index one table of lgamma(i + 1.0),
+    grown on demand (at least doubling, at most to 2^20 entries); other arrays take
+    math.lgamma per element, as the table fill does, so both give the same bits.
+    """
+    global _lgamma_table
     if np.isscalar(k):
         return lgamma(k + 1)
     arr = np.asarray(k, dtype=float)
-    return np.vectorize(lgamma)(arr + 1.0)
+    idx = arr.astype(np.intp) if arr.size and 0 <= arr.min() and arr.max() < _LGAMMA_CEIL else None
+    if idx is None or not np.array_equal(idx, arr):
+        return _lgamma_plus_one(arr)  # a negative integer raises ValueError here
+    table = _lgamma_table
+    n = len(table)
+    if idx.max() >= n:
+        grown = min(max(2 * n, int(idx.max()) + 1), _LGAMMA_CEIL)
+        table = _lgamma_table = np.concatenate((table, _lgamma_plus_one(np.arange(n, grown, 1.0))))
+    return table[idx.ravel()].reshape(arr.shape)
 
 
 class DomainError(ValueError):
@@ -117,7 +141,7 @@ class WeightSequence:
             "name": self.name,
             "k_min": int(self.k_min),
             "k_max": int(self.k_max),
-            "log_M": [float(v) for v in self.log_M],
+            "log_M": self.log_M.tolist(),
             "claims": sorted(self.claims),
         }
 
@@ -133,14 +157,11 @@ class WeightSequence:
     def to_csv(self) -> str:
         """CSV with header k,log_M,log_m; log_m is blank for k = 0."""
         scales = DerivedScales.from_weight_sequence(self)
-        lines = ["k,log_M,log_m"]
-        for i, k in enumerate(self.ks):
-            if k >= scales.k_start:
-                lm = f"{scales.log_m[k - scales.k_start]:.17g}"
-            else:
-                lm = ""
-            lines.append(f"{k},{self.log_M[i]:.17g},{lm}")
-        return "\n".join(lines) + "\n"
+        skip = scales.k_start - self.k_min  # 1 when the tabulation starts at k = 0
+        ks, log_M = self.ks.tolist(), self.log_M.tolist()
+        rows = chain.from_iterable(zip(ks[skip:], log_M[skip:], scales.log_m.tolist()))
+        head = "k,log_M,log_m\n" + ("0,%.17g,\n" % log_M[0] if skip else "")
+        return head + ("%d,%.17g,%.17g\n" * (len(ks) - skip)) % tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carleman_lab
-from carleman_lab import cli
+from carleman_lab import cli, fdb
 from carleman_lab.families import make_family, parse_family
 from carleman_lab.seqcore import WeightSequence
 
@@ -136,6 +136,18 @@ class TestPipelines:
         r = run_cli("seq", "--family", "q18", "--kmax", "50", "--then", "seq")
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("head", [
+        ["families"],
+        ["check", "log-convex", "--family", "q18", "--kmax", "50"],
+        ["compare", "--family", "q18", "--with", "gevrey:1", "--kmax", "50"],
+        ["majorant", "--family", "q18", "--kmax", "200", "--marked", "10,40"],
+        ["fdb", "bell", "--order", "5"],
+    ])
+    def test_then_follows_only_sequences(self, head, capsys):
+        assert cli.run(head + ["--then", "check", "quasianalytic"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: --then follows only seq, checkseq, minorant or compose\n")
+
     @pytest.mark.parametrize("flag", [["--family", "q:1:2"], ["--kmax", "40"]])
     def test_then_rejects_input_flags(self, flag):
         # the check runs on the piped sequence; a second input would be ignored
@@ -202,6 +214,26 @@ class TestSubcommands:
         assert d["ok"] and d["violations"] == [] and d["order"] == 230
         assert all(np.isfinite(d["log_slack"]))
 
+    def test_fdb_bound_order_cap_before_composition(self, monkeypatch, capsys):
+        class Composed(Exception):
+            pass
+
+        def compose_series(f, g):
+            raise Composed
+
+        monkeypatch.setattr(fdb, "compose_series", compose_series)
+        assert cli.run(["fdb", "bound", "--order", "501"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: k_max_out capped at 500 (O(k^3) dynamic program)\n")
+        with pytest.raises(Composed):  # the cap lets order 500 through
+            cli.run(["fdb", "bound", "--order", "500"])
+
+    def test_check_has_no_weak_flag(self, capsys):
+        # weakly-log-convex is the weak check; --weak was accepted and ignored
+        assert cli.run(["check", "log-convex", "--weak", "--family", "q:1:2", "--kmax", "50"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "unrecognized arguments: --weak" in err
+
     def test_compare_holds(self):
         r = run_cli("compare", "--family", "q18", "--with", "gevrey:1", "--kmax", "2000")
         assert r.returncode == 0
@@ -250,6 +282,7 @@ def argvs(draw):
                 str(draw(st.integers(-2, 40)))] + fmt
     elif command == "check":
         argv = [command, draw(st.sampled_from(cli.CHECK_PREDICATES))] + family
+        argv += draw(st.sampled_from([[], ["--weak"]]))
     elif command in ("compose", "compare"):
         argv = [command, "--with", draw(TOKENS)] + family + fmt
     elif command == "majorant":
@@ -276,3 +309,99 @@ class TestFuzz:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(argv)
         assert code in (0, 1, 2, 3)
+
+
+# -- the former per-element writers, kept as oracles ----------------------------
+
+
+def _fmt_float_oracle(x):
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == float("-inf"):
+        return "-Infinity"
+    return format(x, ".17g")
+
+
+def dumps_oracle(obj):
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float_oracle(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        items = ", ".join(f"{dumps_oracle(str(k))}: {dumps_oracle(v)}" for k, v in sorted(obj.items()))
+        return "{" + items + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(dumps_oracle(v) for v in obj) + "]"
+    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+
+
+def write_plot_oracle(W):
+    return "\n".join(f"{k} {W.log_M[i]:.17g}" for i, k in enumerate(W.ks)) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(),  # NaN, +-inf and subnormals included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=8), FLOATS, FLOATS.map(np.float64),
+    st.integers(-(2**200), 2**200), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.lists(FINITE, max_size=30),  # runs of finite floats
+    st.lists(FINITE, max_size=30).map(tuple),
+    st.lists(FLOATS, max_size=30).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(FINITE, min_size=1, max_size=30).map(lambda v: np.array(v).reshape(len(v), 1)),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30).map(
+        lambda v: np.array(v, dtype=np.int64)),
+)
+DOCUMENTS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+class TestWritersAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(DOCUMENTS)
+    def test_dumps(self, doc):
+        assert cli.dumps(doc) == dumps_oracle(doc)
+
+    def test_dumps_float_runs(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63, size=20_000, dtype=np.uint64) | rng.integers(
+            0, 2, size=20_000, dtype=np.uint64) << np.uint64(63)
+        vals = bits.view(np.float64)
+        vals = vals[np.isfinite(vals)]
+        assert cli.dumps(vals) == dumps_oracle(vals)
+        assert cli.dumps(vals.tolist()) == dumps_oracle(vals.tolist())
+        W = make_family(parse_family("q18"), k_max=10_000)
+        assert cli.dumps(W.to_dict()) == dumps_oracle(W.to_dict())
+
+    @pytest.mark.parametrize("token", ["q18", "analytic", "q:1:3"])
+    def test_seq_out(self, token, tmp_path, capsys):
+        dest = tmp_path / "plot.txt"
+        assert cli.run(["seq", "--family", token, "--kmax", "10000", "--out", str(dest)]) == 0
+        W = make_family(parse_family(token), k_max=10_000)
+        assert dest.read_text() == write_plot_oracle(W)
+        assert capsys.readouterr().out == dumps_oracle(W.to_dict()) + "\n"
+
+    def test_plot_past_zero(self, tmp_path):
+        rng = np.random.default_rng(11)
+        W = WeightSequence("offset", 9, rng.normal(size=10_001) * 1e5)
+        cli._write_plot(str(tmp_path / "plot.txt"), W)
+        assert (tmp_path / "plot.txt").read_text() == write_plot_oracle(W)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab import seqcore
 from carleman_lab.cli import dumps
+from carleman_lab.families import kappa, make_family, parse_family
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -171,3 +173,113 @@ class TestSerialization:
         assert lines[0] == "k,log_M,log_m"
         assert len(lines) == 6
         assert lines[1].endswith(",")  # no scale at k = 0
+
+
+# -- the former element-by-element code, kept as oracles -----------------------
+
+
+def log_factorial_oracle(k):
+    # otypes lets it take an empty array, which the former code refused
+    return np.vectorize(math.lgamma, otypes=[float])(np.asarray(k, dtype=float) + 1.0)
+
+
+def to_csv_oracle(W):
+    scales = DerivedScales.from_weight_sequence(W)
+    lines = ["k,log_M,log_m"]
+    for i, k in enumerate(W.ks):
+        if k >= scales.k_start:
+            lm = f"{scales.log_m[k - scales.k_start]:.17g}"
+        else:
+            lm = ""
+        lines.append(f"{k},{W.log_M[i]:.17g},{lm}")
+    return "\n".join(lines) + "\n"
+
+
+class TestLogFactorialTable:
+    @pytest.fixture(autouse=True)
+    def empty_table(self, monkeypatch):
+        monkeypatch.setattr(seqcore, "_lgamma_table", np.empty(0))
+
+    def same(self, k):
+        got, want = log_factorial(k), log_factorial_oracle(k)
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_growth_steps_keep_every_entry(self):
+        before = np.empty(0)
+        for hi in (1, 10, 11, 25, 3_000, 50_000, 200_001):
+            self.same(np.arange(hi))
+            table = seqcore._lgamma_table
+            assert len(table) >= hi and np.array_equal(table[: len(before)], before)
+            before = table.copy()
+        assert len(before) < 2 * 200_001  # grown to the largest index asked for, not beyond
+
+    def test_growth_at_least_doubles(self):
+        log_factorial(np.arange(100))
+        log_factorial(np.array([100]))
+        assert len(seqcore._lgamma_table) == 200
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.float64, np.float32])
+    def test_dtypes(self, dtype):
+        self.same(np.arange(0, 3000, 7).astype(dtype)[::-1])
+
+    def test_shapes(self):
+        for k in (np.asarray(5), np.asarray(5.0), np.asarray(0), np.arange(24).reshape(4, 6),
+                  np.arange(12.0).reshape(3, 1, 4), np.array([], dtype=float).reshape(0, 3)):
+            self.same(k)
+        assert log_factorial(np.asarray(7)).ndim == 0
+
+    def test_values_off_the_table(self):
+        rng = np.random.default_rng(3)
+        self.same(rng.uniform(0, 5000, size=2000))  # non-integer
+        self.same(np.array([0.5, 2.0, 2.5, 1e-300, 5e-324]))
+        self.same(np.array([-0.5, -1.5, 3.0]))  # negative, not an integer
+        self.same(np.array([np.nan, np.inf, 4.0]))
+        self.same(np.arange(kappa(3) - 1.0, kappa(3) + 3000.0))  # the q:D:3 index range
+        self.same(np.array([2.0**53, 1e300]))
+        assert len(seqcore._lgamma_table) == 0  # none of these fills the table
+
+    def test_ceiling(self):
+        self.same(np.arange(2**20 - 50, 2**20))
+        assert len(seqcore._lgamma_table) == 2**20
+        self.same(np.arange(2**20 - 50, 2**20 + 50))  # across the ceiling
+        self.same(np.array([float(2**20)]))
+        assert len(seqcore._lgamma_table) == 2**20
+
+    def test_scalars_unchanged(self):
+        for k in (0, 5, 170, 2.5, np.int64(9), np.float64(9.0)):
+            assert log_factorial(k) == math.lgamma(k + 1)
+        assert len(seqcore._lgamma_table) == 0  # the scalar branch never fills the table
+
+    @pytest.mark.parametrize("k", [np.array([3, -1]), np.array([-2.0]), np.arange(-1, 5)])
+    def test_negative_integer_raises(self, k):
+        with pytest.raises(ValueError):
+            log_factorial_oracle(k)
+        with pytest.raises(ValueError):
+            log_factorial(k)
+
+    def test_results_are_private_copies(self):
+        out = log_factorial(np.arange(10))
+        out[:] = 0.0
+        self.same(np.arange(10))
+
+
+class TestCsvAgainstOracle:
+    @pytest.mark.parametrize("token", ["q18", "gevrey:1", "q:1:3"])
+    def test_families_from_zero(self, token):
+        W = make_family(parse_family(token), k_max=10_000)
+        assert W.k_min == 0
+        assert W.to_csv() == to_csv_oracle(W)
+
+    @pytest.mark.parametrize("k_min", [0, 1, 2, 37])
+    def test_random_values(self, k_min):
+        rng = np.random.default_rng(k_min)
+        log_M = rng.normal(size=10_001) * 10.0 ** rng.integers(-30, 30, size=10_001)
+        W = WeightSequence("offset", k_min, log_M)
+        assert W.to_csv() == to_csv_oracle(W)
+
+    def test_short_sequences(self):
+        for W in (WeightSequence("z", 0, np.array([-0.0, 0.0, 5e-324])),
+                  WeightSequence("t", 0, np.array([0.1 + 0.2, 1 / 3, -2 / 3])),  # 17 digits
+                  WeightSequence("z", 4, np.array([-0.0, 1e-310, 1e300]))):
+            assert W.to_csv() == to_csv_oracle(W)
