@@ -14,7 +14,6 @@ from .seqcore import (
     WeightSequence,
     fm_membership,
     log_factorial,
-    normalize,
     rescale,
     tabulate,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "make_family",
     "min_combine",
     "multiply_series",
-    "normalize",
     "parse_family",
     "quasianalytic_diagnostic",
     "rescale",

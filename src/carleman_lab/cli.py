@@ -105,25 +105,29 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, family_required=True):
         sp.add_argument("--family", required=family_required, help="family token, e.g. q18, gevrey:1, q:0.5:2")
         sp.add_argument("--kmax", type=int, default=None, help="tabulation length")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def out(sp):
         sp.add_argument("--out", default=None, help="write two-column (k, value) plot data")
+
+    def sequence(name, help):  # a sequence-valued command: JSON or CSV, and plot data
+        sp = sub.add_parser(name, help=help)
+        common(sp)
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        out(sp)
+        return sp
 
     sp = sub.add_parser("families", help="list built-in families")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    common(sub.add_parser("seq", help="tabulate a family"))
-    common(sub.add_parser("checkseq", help="check sequence of a family"))
-
-    sp = sub.add_parser("minorant", help="log-convex minorant")
-    common(sp)
+    sequence("seq", help="tabulate a family")
+    sequence("checkseq", help="check sequence of a family")
+    sp = sequence("minorant", help="log-convex minorant")
     sp.add_argument("--weak", action="store_true", help="minorant of k! M_k instead of M_k")
 
     sp = sub.add_parser("check", help="run a predicate")
     sp.add_argument("predicate", choices=CHECK_PREDICATES)
     common(sp, family_required=False)
 
-    sp = sub.add_parser("compose", help="compose two families (M o L)")
-    common(sp)
+    sp = sequence("compose", help="compose two families (M o L)")
     sp.add_argument("--with", dest="other", required=True, help="inner family token")
 
     sp = sub.add_parser("compare", help="inclusion diagnostic F^A subseteq F^B")
@@ -132,6 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("majorant", help="separating majorant over a family")
     common(sp)
+    out(sp)
     sp.add_argument(
         "--marked",
         default="10,40,160,640,2560",
@@ -143,8 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("fdb", help="formal composition demos and bound checks")
     sp.add_argument("mode", choices=("bell", "bound"))
     sp.add_argument("--order", type=int, default=24)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--out", default=None)
     return p
 
 
@@ -161,7 +164,7 @@ def _write_plot(path: str, W: WeightSequence) -> None:
 
 
 def _emit_sequence(W: WeightSequence, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         _write_plot(args.out, W)
     if args.format == "csv":
         sys.stdout.write(W.to_csv())
@@ -268,7 +271,7 @@ def _cmd_majorant(args, kmax: int) -> int:
         else intersections.separating_majorant
     )
     trace = build(Q, logf)
-    if getattr(args, "out", None):
+    if args.out:
         _write_plot(args.out, trace.output_rescaled)
     _emit(dumps(trace.to_dict()))
     return EXIT_OK

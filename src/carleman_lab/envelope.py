@@ -133,26 +133,28 @@ def check_scale(scales: DerivedScales) -> np.ndarray:
     log_m = scales.log_m
     if not log_m[0] > 0.0:
         raise DomainError("check sequence requires m_1 > 1")
-    n = len(log_m)
-    out = np.empty(n)
     # log(m - 1) = log m + log(1 - 1/m), stable for large m
     log_m_minus_1 = log_m + np.log1p(-np.exp(-log_m))
-    out[0] = log_m_minus_1[0]
-    for i in range(1, n):
-        out[i] = out[i - 1] + log_m_minus_1[i] - log_m[i - 1]
-    return out
+    # out_i = (out_{i-1} + log_m_minus_1[i]) - log_m[i-1], rounded in that order:
+    # one left-to-right running sum over the interleaved terms, read every other step
+    terms = np.empty(2 * len(log_m) - 1)
+    terms[0], terms[1::2], terms[2::2] = log_m_minus_1[0], log_m_minus_1[1:], -log_m[:-1]
+    np.add.accumulate(terms, out=terms)
+    return terms[::2].copy()
 
 
 def check_sequence(W: WeightSequence) -> WeightSequence:
     """The check sequence: log Mck_k = k log mck_k - log k!, Mck_0 = 1."""
     if W.k_min != 0:
         raise DomainError("check sequence needs a tabulation starting at k = 0")
-    scales = DerivedScales.from_weight_sequence(W)
-    log_mck = check_scale(scales)
-    ks = np.arange(1, W.k_max + 1, dtype=float)
-    log_Mck = ks * log_mck - log_factorial(ks)
-    out = np.concatenate(([0.0], log_Mck))
-    return WeightSequence(name=f"check({W.name})", k_min=0, log_M=out)
+    log_Mck = _log_M_from_scale(check_scale(DerivedScales.from_weight_sequence(W)))
+    return WeightSequence(name=f"check({W.name})", k_min=0, log_M=log_Mck)
+
+
+def _log_M_from_scale(log_s: np.ndarray) -> np.ndarray:
+    """log M with M_0 = 1 and M_k = s_k^k / k! for k = 1..n, from log s_1..log s_n."""
+    ks = np.arange(1, len(log_s) + 1, dtype=float)
+    return np.concatenate(([0.0], ks * log_s - log_factorial(ks)))
 
 
 def _kahan_cumsum(terms) -> np.ndarray:
@@ -183,13 +185,9 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
     """Inverse of check_sequence: recovers M from M-check (all mck_k > 0)."""
     if Wc.k_min != 0:
         raise DomainError("uncheck needs a tabulation starting at k = 0")
-    scales = DerivedScales.from_weight_sequence(Wc)
-    log_m = uncheck_scale(scales.log_m)
-    ks = np.arange(1, Wc.k_max + 1, dtype=float)
-    log_M = ks * log_m - log_factorial(ks)
-    out = np.concatenate(([0.0], log_M))
+    log_M = _log_M_from_scale(uncheck_scale(DerivedScales.from_weight_sequence(Wc).log_m))
     name = Wc.name[6:-1] if Wc.name.startswith("check(") and Wc.name.endswith(")") else f"uncheck({Wc.name})"
-    return WeightSequence(name=name, k_min=0, log_M=out)
+    return WeightSequence(name=name, k_min=0, log_M=log_M)
 
 
 # -- composition of weight sequences ------------------------------------------

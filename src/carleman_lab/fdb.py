@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isfinite, lgamma, log
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .seqcore import DomainError, MembershipCertificate, WeightSequence, fm_membership
+from .seqcore import DomainError, MembershipCertificate, fm_membership
 from .envelope import compose_sequences
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "compose_series",
     "multiply_series",
     "verify_composition_bound",
-    "certificate_grid",
 ]
 
 
@@ -170,6 +169,8 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     M = f.certificate.seq
     L = g.certificate.seq
     n = min(f.order, g.order) - 1  # the order of f o g
+    if n < 2:
+        raise DomainError(f"the composition bound needs series of order >= 3, got {n + 1}")
     ML = compose_sequences(M, L, n)  # checks its cap before the O(n^3) compose_series
     fg = compose_series(f, g)
     rho_f, C_f = f.certificate.rho, f.certificate.C
@@ -200,12 +201,3 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
         "lossy_float_coefficients": lossy,
     }
 
-
-def certificate_grid(coeffs: Sequence[float], W: WeightSequence) -> list[tuple[float, float]]:
-    """(rho, smallest C) pairs over the dyadic grid rho = 2^i, -8 <= i <= 8."""
-    out = []
-    fl = [float(c) for c in coeffs]
-    for i in range(-8, 9):
-        rho = 2.0**i
-        out.append((rho, fm_membership(fl, W, rho)))
-    return out

@@ -2,22 +2,26 @@
 
 Given a quasianalytic weight sequence Q and a coefficient sequence f that
 escapes the class F^Q along a subsequence, a separating majorant is a
-non-quasianalytic weight sequence L >= Q whose class still excludes f.  The
-construction here is a piecewise-affine perturbation of the check sequence of
-Q, driven by the escape indices of f.  The module also provides the pointwise
-min-combine of two majorants and the moderate-growth splitting L'.
+non-quasianalytic weight sequence L >= Q whose class still excludes f.  Both
+constructions run on one escape schedule: the greedy escape indices k_j of f
+at the thresholds a_j = 4^j and the beta ladder over them.  The strong
+construction perturbs the check sequence of Q by a convex piecewise-affine
+exponent with knots at the k_j; the weak one puts blockwise-constant levels
+beta_j on the check scale.  One function turns either into a MajorantTrace.
+The module also provides the pointwise min-combine of two majorants and the
+moderate-growth splitting L'.
 
 Witness series with astronomically large coefficients cannot be stored as
 f64 values, so every operation taking a witness accepts either a
-TruncatedSeries or an array of log|f_k| directly.
+TruncatedSeries (exact coefficients beyond the float range are logged
+exactly) or an array of log|f_k| directly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .seqcore import (
     rescale,
 )
 from . import envelope
+from .fdb import _log_abs
 from .predicates import _min_plus_splits, growth_diagnostic, is_log_convex
 
 __all__ = [
@@ -101,9 +106,6 @@ class MajorantTrace:
             "output_rescaled": self.output_rescaled.to_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def escape_log_coefficients(
     Q: WeightSequence, marked: Sequence[int], factor: float = 2.0
@@ -119,33 +121,27 @@ def escape_log_coefficients(
     if not (isfinite(factor) and factor > 0):
         raise DomainError(f"escape factor must be finite and positive, got {factor}")
     scales = DerivedScales.from_weight_sequence(Q)
-    log_q = scales.log_m
-    log_qck = envelope.check_scale(scales)
     ks = np.arange(1, Q.k_max + 1, dtype=float)
-    out = log_factorial(ks) + ks * log_qck
+    out = log_factorial(ks) + ks * envelope.check_scale(scales)
     for k in marked:
         if not 1 <= k <= Q.k_max:
             raise DomainError(f"marked index {k} outside tabulated range")
-        out[k - 1] = log_factorial(float(k)) + k * (np.log(factor) + log_q[k - 1])
+        out[k - 1] = log_factorial(float(k)) + k * (np.log(factor) + scales.log_m[k - 1])
     return np.concatenate(([0.0], out))
 
 
 def _witness_log_g(f, k_max: int) -> np.ndarray:
     """log g_k = log|f_k|^{1/k} for k = 1..n from a series or log-coefficient array."""
     if hasattr(f, "coeffs"):
-        logs = []
-        for c in f.coeffs[1:]:
-            fc = float(c)
-            logs.append(np.log(abs(fc)) if fc != 0.0 else -np.inf)
-        log_abs = np.asarray(logs)
+        with np.errstate(divide="ignore"):  # a zero coefficient has log -inf
+            log_abs = np.array([_log_abs(c) for c in f.coeffs[1:]], dtype=float)
     else:
         log_abs = np.asarray(f, dtype=float)[1:]
     n = min(len(log_abs), k_max)
-    ks = np.arange(1, n + 1, dtype=float)
-    return log_abs[:n] / ks
+    return log_abs[:n] / np.arange(1, n + 1, dtype=float)
 
 
-def _greedy_escape_indices(log_ratio: np.ndarray) -> tuple[list, list]:
+def _greedy_escape_indices(log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Escape indices k_j = min{k > k_{j-1} : g_k/q_k >= a_j}, a_j = 4^j.
 
     ``log_ratio[i]`` is log(g_k/q_k) at k = i + 1.  Returns (k_j, log_a_j).
@@ -153,23 +149,14 @@ def _greedy_escape_indices(log_ratio: np.ndarray) -> tuple[list, list]:
     k_j: list[int] = []
     log_a: list[float] = []
     log4 = np.log(4.0)
-    j = 0
-    start = 0
-    n = len(log_ratio)
     while True:
-        thr = j * log4
-        idx = None
-        for i in range(start, n):
-            if log_ratio[i] >= thr:
-                idx = i
-                break
-        if idx is None:
-            break
-        k_j.append(idx + 1)
+        thr = len(k_j) * log4
+        start = k_j[-1] if k_j else 0
+        hits = np.flatnonzero(log_ratio[start:] >= thr)
+        if not hits.size:
+            return np.array(k_j, dtype=int), np.array(log_a, dtype=float)
+        k_j.append(start + int(hits[0]) + 1)
         log_a.append(thr)
-        start = idx + 1
-        j += 1
-    return k_j, log_a
 
 
 def _beta_ladder(k_j: Sequence[int], log_G: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -183,11 +170,7 @@ def _beta_ladder(k_j: Sequence[int], log_G: Sequence[float]) -> tuple[np.ndarray
     Returns (log_beta_j, log_b_j).
     """
     log_G = np.asarray(log_G, dtype=float)
-    m = len(k_j)
-    t = np.empty(m)  # log beta_j in units of s
-    t[0] = 1.0
-    for j in range(1, m):
-        t[j] = k_j[j - 1] * t[j - 1]
+    t = np.cumprod(np.concatenate(([1.0], k_j[:-1])))  # log beta_j in units of s
     dG = np.diff(log_G)
     if np.any(dG <= 0.0):
         raise DomainError("escape ratios g/q-check not increasing along the trace")
@@ -198,49 +181,115 @@ def _beta_ladder(k_j: Sequence[int], log_G: Sequence[float]) -> tuple[np.ndarray
     if not s > 0.0:
         raise DomainError("no positive base level keeps the schedule decreasing")
     log_beta = s * t
-    log_b = log_beta - log_G
-    return log_beta, log_b
+    return log_beta, log_beta - log_G
 
 
-def _prepare(Q: WeightSequence, f) -> dict:
-    """Shared setup: scales, check data, greedy indices, and the beta ladder."""
+class _Schedule(NamedTuple):
+    """The escape schedule of a witness f over Q, computed once per construction.
+
+    ``log_q``, ``log_qck`` and ``log_g`` are the scale of Q, its check scale
+    and log|f_k|^{1/k} over k = 1, 2, ...; ``k_j``, ``log_a``, ``log_beta``
+    and ``log_b`` hold one entry per block.
+    """
+
+    log_q: np.ndarray
+    log_qck: np.ndarray
+    log_g: np.ndarray
+    k_j: np.ndarray
+    log_a: np.ndarray
+    log_beta: np.ndarray
+    log_b: np.ndarray
+
+
+def _schedule(Q: WeightSequence, f) -> _Schedule:
+    """The schedule of witness f over Q, or a DomainError when f does not separably escape."""
     if Q.k_min != 0:
         raise DomainError("separating constructions need a tabulation from k = 0")
     scales = DerivedScales.from_weight_sequence(Q)
-    log_q = scales.log_m
     log_qck = envelope.check_scale(scales)
-    Qck = envelope.check_sequence(Q)
     log_g = _witness_log_g(f, Q.k_max)
-    n = len(log_g)
-    log_ratio = log_g - log_q[:n]
-    k_j, log_a = _greedy_escape_indices(log_ratio)
+    k_j, log_a = _greedy_escape_indices(log_g - scales.log_m[: len(log_g)])
     if len(k_j) < _MIN_BLOCKS:
         raise DomainError("f not separably outside F^Q on this prefix")
-    log_G = [log_g[k - 1] - log_qck[k - 1] for k in k_j]
-    log_beta, log_b = _beta_ladder(k_j, log_G)
-    if np.any(-(np.asarray(log_a) + log_b) > _LOG_FLOAT_MAX):
+    log_beta, log_b = _beta_ladder(k_j, log_g[k_j - 1] - log_qck[k_j - 1])
+    if np.any(-(log_a + log_b) > _LOG_FLOAT_MAX):
         raise DomainError("escape too large: a bound 1/(a_j b_j) exceeds the float range")
-    return {
-        "scales": scales,
-        "log_q": log_q,
-        "log_qck": log_qck,
-        "Qck": Qck,
-        "log_g": log_g,
-        "k_j": k_j,
-        "log_a": np.asarray(log_a),
-        "log_beta": log_beta,
-        "log_b": log_b,
+    return _Schedule(scales.log_m, log_qck, log_g, k_j, log_a, log_beta, log_b)
+
+
+def _trace(s: _Schedule, log_l, log_terms, edges, output, rescale_rho, output_rescaled,
+           phi_knots=(), **extra) -> MajorantTrace:
+    """The MajorantTrace of a construction with scale l_k (k = 1..len(log_l)).
+
+    Block i of ``block_sums`` adds exp(log_terms) over edges[i] <= k <
+    edges[i + 1]; its bound 1/(a_j b_j) is that of the block's last escape
+    index.  ``extra`` holds the construction's own report keys.
+    """
+    m = len(s.k_j)
+    first = m - (len(edges) - 1)  # the schedule block of the first summed block
+    report = {
+        "block_sums": [
+            float(np.exp(np.logaddexp.reduce(log_terms[lo:hi]))) for lo, hi in zip(edges, edges[1:])
+        ],
+        "bound_1_over_ab": [float(np.exp(-(s.log_a[j] + s.log_b[j]))) for j in range(first, m)],
+        "sup_q_over_l": float(np.exp(np.max(s.log_q[: len(log_l)] - log_l))),
+        "l_over_g_at_kj": [
+            float(np.exp(s.log_beta[j] + s.log_qck[k - 1] - s.log_g[k - 1]))
+            for j, k in enumerate(s.k_j)
+        ],
+        **extra,
     }
+    return MajorantTrace(
+        k_j=tuple(s.k_j),
+        a_j=tuple(np.exp(s.log_a)),
+        b_j=tuple(np.exp(s.log_b)),
+        beta_j=tuple(np.exp(s.log_beta)),
+        phi_knots=phi_knots,
+        output=output,
+        report=report,
+        rescale_rho=rescale_rho,
+        output_rescaled=output_rescaled,
+    )
 
 
 def _domination_rescale(Q: WeightSequence, L: WeightSequence) -> tuple[float, WeightSequence]:
     """rho >= max{1/L_1, sup_k (Q_k/L_k)^{1/k}} and the rescaled L~ >= Q."""
     ks = np.arange(1, L.k_max + 1, dtype=float)
     diff = (Q.log_M[1 : L.k_max + 1] - L.log_M[1:]) / ks
-    log_rho = max(0.0, -float(L.log_M[1]), float(np.max(diff)))
-    rho = float(np.exp(log_rho))
-    Lt = rescale(L, 1.0, rho)
-    return rho, Lt
+    rho = float(np.exp(max(0.0, -float(L.log_M[1]), float(np.max(diff)))))
+    return rho, rescale(L, 1.0, rho)
+
+
+def _require_weakly_log_convex(W: WeightSequence) -> None:
+    v = is_log_convex(W, weak=True)
+    if not v.holds:
+        raise DomainError(f"{W.name!r} is not weakly log-convex (witness k={v.witness_k})")
+
+
+def _require_dominates(log_upper: np.ndarray, Q: WeightSequence, what: str, tol: float) -> None:
+    """Raise '<what> <Q> at k=<first k>' where log_upper_k < log Q_k - tol."""
+    below = np.flatnonzero(log_upper - Q.log_M[: len(log_upper)] < -tol)
+    if below.size:
+        raise DomainError(f"{what} {Q.name!r} at k={int(below[0])}")
+
+
+def _phi(k_j: np.ndarray, log_beta: np.ndarray, k_max: int) -> np.ndarray:
+    """Convex piecewise-affine exponent through (0, 0) and the knots (k_j, k_j log beta_j).
+
+    Block 0 is the ray phi(k) = k log beta_0; block j covers k_{j-1} < k <= k_j,
+    and past the last knot phi continues with its final slope.
+    """
+    d = np.concatenate((log_beta[:1], np.diff(k_j * log_beta) / np.diff(k_j)))
+    c = k_j * (log_beta - d)
+    if np.any(np.diff(d) < 0.0):
+        raise DomainError("slopes d_j failed to be non-decreasing")
+    if np.any(c > 1e-12):
+        raise DomainError("intercepts c_j failed to be non-positive")
+    ks = np.arange(0, k_max + 1, dtype=float)
+    jj = np.minimum(np.searchsorted(k_j, ks), len(k_j) - 1)
+    phi = c[jj] + d[jj] * ks
+    phi[0] = 0.0
+    return phi
 
 
 def separating_majorant(Q: WeightSequence, f) -> MajorantTrace:
@@ -253,81 +302,25 @@ def separating_majorant(Q: WeightSequence, f) -> MajorantTrace:
     the escape indices; beyond the last knot phi continues with its final
     slope.
     """
-    data = _prepare(Q, f)
-    Qck = data["Qck"]
+    s = _schedule(Q, f)
+    Qck = WeightSequence(f"check({Q.name})", 0, envelope._log_M_from_scale(s.log_qck))
     conv = is_log_convex(Qck)
     if not conv.holds:
         raise DomainError(
             f"check sequence of {Q.name!r} is not log-convex (witness k={conv.witness_k})"
         )
-    k_j = data["k_j"]
-    log_beta = data["log_beta"]
-    log_b = data["log_b"]
-
-    # knots (k_j, k_j log beta_j); block 0 is the ray phi(k) = k log beta_0
-    m = len(k_j)
-    c = np.empty(m)
-    d = np.empty(m)
-    c[0], d[0] = 0.0, log_beta[0]
-    for j in range(1, m):
-        d[j] = (k_j[j] * log_beta[j] - k_j[j - 1] * log_beta[j - 1]) / (
-            k_j[j] - k_j[j - 1]
-        )
-        c[j] = k_j[j] * (log_beta[j] - d[j])
-    if np.any(np.diff(d) < 0.0):
-        raise DomainError("slopes d_j failed to be non-decreasing")
-    if np.any(c > 1e-12):
-        raise DomainError("intercepts c_j failed to be non-positive")
-
-    ks = np.arange(0, Q.k_max + 1, dtype=float)
-    phi = np.empty(Q.k_max + 1)
-    block = 0
-    for k in range(Q.k_max + 1):
-        while block < m and k > k_j[block]:
-            block += 1
-        jj = min(block, m - 1)  # past the last knot: continue with final slope
-        phi[k] = c[jj] + d[jj] * k
-    phi[0] = 0.0
-
+    phi = _phi(s.k_j, s.log_beta, Q.k_max)
     log_L = phi + Qck.log_M
     L = WeightSequence(name=f"sep({Q.name})", k_min=0, log_M=log_L)
-
-    # l_k = e^{phi(k)/k} qck_k; at the knots phi(k_j)/k_j = log beta_j exactly
-    log_l = phi[1:] / ks[1:] + data["log_qck"]
-    log_q = data["log_q"]
-    sup_q_over_l = float(np.exp(np.max(log_q - log_l)))
-    ratio_trace = [
-        float(np.exp(log_beta[j] + data["log_qck"][k - 1] - data["log_g"][k - 1]))
-        for j, k in enumerate(k_j)
-    ]
-
-    # per-block sums sum_{k_{j-1}}^{k_j - 1} L_k / ((k+1) L_{k+1})
-    log_term = log_L[:-1] - np.log(ks[1:]) - log_L[1:]
-    block_sums = []
-    for j in range(1, m):
-        seg = log_term[k_j[j - 1] : k_j[j]]
-        block_sums.append(float(np.exp(np.logaddexp.reduce(seg))))
-    bounds = [float(np.exp(-(data["log_a"][j] + log_b[j]))) for j in range(1, m)]
-
+    ks = np.arange(1, Q.k_max + 1, dtype=float)
+    # l_k = e^{phi(k)/k} qck_k; at the knots phi(k_j)/k_j = log beta_j exactly;
+    # block sums run over L_k / ((k+1) L_{k+1}) for k_{j-1} <= k < k_j
+    log_l = phi[1:] / ks + s.log_qck
+    log_terms = log_L[:-1] - np.log(ks) - log_L[1:]
     rho, Lt = _domination_rescale(Q, L)
-    report = {
-        "block_sums": block_sums,
-        "bound_1_over_ab": bounds,
-        "sup_q_over_l": sup_q_over_l,
-        "l_over_g_at_kj": ratio_trace,
-        "base_block_choice": "c_0 = 0, d_0 = log beta_0",
-    }
-    return MajorantTrace(
-        k_j=tuple(k_j),
-        a_j=tuple(np.exp(data["log_a"])),
-        b_j=tuple(np.exp(log_b)),
-        beta_j=tuple(np.exp(log_beta)),
-        phi_knots=tuple([(0, 0.0)] + [(k, k * lb) for k, lb in zip(k_j, log_beta)]),
-        output=L,
-        report=report,
-        rescale_rho=rho,
-        output_rescaled=Lt,
-    )
+    knots = tuple([(0, 0.0)] + [(k, k * lb) for k, lb in zip(s.k_j, s.log_beta)])
+    return _trace(s, log_l, log_terms, s.k_j, L, rho, Lt, knots,
+                  base_block_choice="c_0 = 0, d_0 = log beta_0")
 
 
 def separating_majorant_weak(Q: WeightSequence, f) -> MajorantTrace:
@@ -340,83 +333,30 @@ def separating_majorant_weak(Q: WeightSequence, f) -> MajorantTrace:
     """
     if Q.k_min != 0:
         raise DomainError("separating constructions need a tabulation from k = 0")
-    wconv = is_log_convex(Q, weak=True)
-    if not wconv.holds:
-        raise DomainError(
-            f"{Q.name!r} is not weakly log-convex (witness k={wconv.witness_k})"
-        )
-    Q_eff = Q
-    pre_rescaled = False
+    _require_weakly_log_convex(Q)
     log_qck = envelope.check_scale(DerivedScales.from_weight_sequence(Q))
-    if np.any(np.diff(log_qck) < 0.0):
-        Q_eff = rescale(Q, 1.0, float(np.e)).with_name(Q.name)
-        pre_rescaled = True
+    pre_rescaled = bool(np.any(np.diff(log_qck) < 0.0))
+    Q_eff = rescale(Q, 1.0, float(np.e)).with_name(Q.name) if pre_rescaled else Q
 
-    data = _prepare(Q_eff, f)
-    k_j = data["k_j"]
-    log_beta = data["log_beta"]
-    log_b = data["log_b"]
-    log_qck = data["log_qck"]
-    m = len(k_j)
-    k_hi = k_j[-1]
-
+    s = _schedule(Q_eff, f)
+    k_hi = int(s.k_j[-1])
     # l_k = beta_j qck_k for the minimal j with k <= k_j
-    log_l = np.empty(k_hi)
-    lo = 0
-    for j in range(m):
-        log_l[lo : k_j[j]] = log_beta[j] + log_qck[lo : k_j[j]]
-        lo = k_j[j]
-    ks = np.arange(1, k_hi + 1, dtype=float)
-    log_L = np.concatenate(([0.0], ks * log_l - log_factorial(ks)))
+    log_l = s.log_beta[np.searchsorted(s.k_j, np.arange(1, k_hi + 1))] + s.log_qck[:k_hi]
+    log_L = envelope._log_M_from_scale(log_l)
     L = WeightSequence(name=f"sepw({Q_eff.name})", k_min=0, log_M=log_L)
 
-    log_q = data["log_q"][:k_hi]
-    log_C = max(float(log_L[0] - log_L[1]), float(np.max(log_q - log_l)))
+    log_C = max(float(log_L[0] - log_L[1]), float(np.max(s.log_q[:k_hi] - log_l)))
     C = float(np.exp(max(0.0, log_C)))
-    L_scaled = rescale(L, 1.0, C)
-    env = envelope.log_convex_minorant(L_scaled, weak_basis=True)
-    ks_all = np.arange(0, k_hi + 1, dtype=float)
-    log_under = env.values - log_factorial(ks_all)
+    env = envelope.log_convex_minorant(rescale(L, 1.0, C), weak_basis=True)
+    log_under = env.values - log_factorial(np.arange(0, k_hi + 1, dtype=float))
     under = WeightSequence(name=f"sepw({Q_eff.name})", k_min=0, log_M=log_under)
-
     dom_gap = float(np.min(log_under - Q_eff.log_M[: k_hi + 1]))
     if dom_gap < -1e-9:
         raise DomainError("repaired majorant failed to dominate the input")
 
-    sup_q_over_l = float(np.exp(np.max(log_q - log_l)))
-    ratio_trace = [
-        float(np.exp(log_beta[j] + log_qck[k - 1] - data["log_g"][k - 1]))
-        for j, k in enumerate(k_j)
-    ]
     # block sums sum_{k_{j-1}+1}^{k_j} 1/l_k (block 0 starts at k = 1)
-    block_sums = []
-    lo = 0
-    for j in range(m):
-        seg = -log_l[lo : k_j[j]]
-        block_sums.append(float(np.exp(np.logaddexp.reduce(seg))))
-        lo = k_j[j]
-    bounds = [float(np.exp(-(data["log_a"][j] + log_b[j]))) for j in range(m)]
-
-    report = {
-        "block_sums": block_sums,
-        "bound_1_over_ab": bounds,
-        "sup_q_over_l": sup_q_over_l,
-        "l_over_g_at_kj": ratio_trace,
-        "pre_rescaled_by_e": pre_rescaled,
-        "rescale_C": C,
-        "domination_gap": dom_gap,
-    }
-    return MajorantTrace(
-        k_j=tuple(k_j),
-        a_j=tuple(np.exp(data["log_a"])),
-        b_j=tuple(np.exp(log_b)),
-        beta_j=tuple(np.exp(log_beta)),
-        phi_knots=(),
-        output=L,
-        report=report,
-        rescale_rho=C,
-        output_rescaled=under,
-    )
+    return _trace(s, log_l, -log_l, np.concatenate(([0], s.k_j)), L, C, under,
+                  pre_rescaled_by_e=pre_rescaled, rescale_C=C, domination_gap=dom_gap)
 
 
 def min_combine(
@@ -427,24 +367,13 @@ def min_combine(
     if L1.k_min != 0 or L2.k_min != 0 or Q.k_min != 0:
         raise DomainError("min_combine needs tabulations starting at k = 0")
     for L in (L1, L2):
-        gap = L.log_M[: k_hi + 1] - Q.log_M[: k_hi + 1]
-        if np.any(gap < -1e-12):
-            k = int(np.argmax(gap < -1e-12))
-            raise DomainError(f"{L.name!r} does not dominate {Q.name!r} at k={k}")
-        v = is_log_convex(L, weak=True)
-        if not v.holds:
-            raise DomainError(
-                f"{L.name!r} is not weakly log-convex (witness k={v.witness_k})"
-            )
+        _require_dominates(L.log_M[: k_hi + 1], Q, f"{L.name!r} does not dominate", 1e-12)
+        _require_weakly_log_convex(L)
     log_bar = np.minimum(L1.log_M[: k_hi + 1], L2.log_M[: k_hi + 1])
     bar = WeightSequence(name="min", k_min=0, log_M=log_bar)
     env = envelope.log_convex_minorant(bar, weak_basis=True)
-    ks = np.arange(0, k_hi + 1, dtype=float)
-    out = env.values - log_factorial(ks)
-    gap = out - Q.log_M[: k_hi + 1]
-    if np.any(gap < -1e-9):
-        k = int(np.argmax(gap < -1e-9))
-        raise DomainError(f"combined majorant dropped below {Q.name!r} at k={k}")
+    out = env.values - log_factorial(np.arange(0, k_hi + 1, dtype=float))
+    _require_dominates(out, Q, "combined majorant dropped below", 1e-9)
     return WeightSequence(name=f"minc({L1.name},{L2.name})", k_min=0, log_M=out)
 
 
@@ -469,16 +398,9 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
         )
     if abs(float(L.log_M[0])) > 1e-12:
         raise DomainError("lprime requires L_0 = 1")
-    wconv = is_log_convex(L, weak=True)
-    if not wconv.holds:
-        raise DomainError(
-            f"{L.name!r} is not weakly log-convex (witness k={wconv.witness_k})"
-        )
+    _require_weakly_log_convex(L)
     k_hi = min(Q.k_max, L.k_max)
-    gap = L.log_M[: k_hi + 1] - Q.log_M[: k_hi + 1]
-    if np.any(gap < -1e-12):
-        k = int(np.argmax(gap < -1e-12))
-        raise DomainError(f"{L.name!r} does not dominate {Q.name!r} at k={k}")
+    _require_dominates(L.log_M[: k_hi + 1], Q, f"{L.name!r} does not dominate", 1e-12)
 
     log_C = np.log(2.0) + float(mg.margin)
     ks = np.arange(0, k_hi + 1)
@@ -487,8 +409,5 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     out = ks * log_C + (log_Lt[js] + log_Lt[ks - js])
     out[0] = 0.0
     log_out = out - log_factorial(ks)
-    gap = log_out - Q.log_M[: k_hi + 1]
-    if np.any(gap < -1e-9):
-        k = int(np.argmax(gap < -1e-9))
-        raise DomainError(f"splitting majorant dropped below {Q.name!r} at k={k}")
+    _require_dominates(log_out, Q, "splitting majorant dropped below", 1e-9)
     return WeightSequence(name=f"split({L.name})", k_min=0, log_M=log_out)

@@ -21,7 +21,6 @@ __all__ = [
     "KNOWN_CLAIMS",
     "tabulate",
     "rescale",
-    "normalize",
     "fm_membership",
     "log_factorial",
 ]
@@ -119,11 +118,6 @@ class WeightSequence:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
-
-    def log_at(self, k: int) -> float:
-        if not (self.k_min <= k <= self.k_max):
-            raise DomainError(f"k={k} outside tabulated range [{self.k_min}, {self.k_max}]")
-        return float(self.log_M[k - self.k_min])
 
     def slice(self, k_lo: int, k_hi: int) -> np.ndarray:
         """log M_k for k in [k_lo, k_hi], inclusive."""
@@ -237,26 +231,6 @@ def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
     log_M = np.log(C) + ks * np.log(rho) + W.log_M
     claims = frozenset(W.claims) & _RESCALE_STABLE_CLAIMS
     return WeightSequence(name=W.name, k_min=W.k_min, log_M=log_M, claims=claims)
-
-
-def normalize(W: WeightSequence) -> tuple[WeightSequence, float, float]:
-    """Rescale so that M_0 = 1 and M_1 >= 1; returns (W', C, rho) used.
-
-    For a log-convex input the normalized sequence is increasing.
-    """
-    if W.k_min != 0:
-        raise DomainError("normalize requires a tabulation starting at k = 0")
-    log_M0 = float(W.log_M[0])
-    log_M1 = float(W.log_M[1])
-    C = float(np.exp(-log_M0))
-    log_rho = max(0.0, log_M0 - log_M1)
-    rho = float(np.exp(log_rho))
-    ks = W.ks
-    log_M = -log_M0 + ks * log_rho + W.log_M
-    log_M[0] = 0.0  # exact by construction
-    claims = frozenset(W.claims) & _RESCALE_STABLE_CLAIMS
-    out = WeightSequence(name=W.name, k_min=0, log_M=log_M, claims=claims)
-    return out, C, rho
 
 
 def fm_membership(coeffs: Sequence[float], W: WeightSequence, rho: float) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -113,6 +114,38 @@ class TestFormats:
         lines = dest.read_text().splitlines()
         assert len(lines) == 6
         assert lines[0].split() == ["0", "0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "log-convex", "--family", "q18", "--kmax", "50", "--format", "csv"],
+        ["check", "log-convex", "--family", "q18", "--kmax", "50", "--out", "plot.txt"],
+        ["compare", "--family", "q18", "--with", "analytic", "--kmax", "50", "--format", "csv"],
+        ["compare", "--family", "q18", "--with", "analytic", "--kmax", "50", "--out", "plot.txt"],
+        ["fdb", "bell", "--order", "5", "--format", "csv"],
+        ["fdb", "bound", "--order", "5", "--out", "plot.txt"],
+        ["majorant", "--family", "q18", "--kmax", "400", "--format", "csv"],
+        ["families", "--out", "plot.txt"],
+        ["seq", "--family", "q18", "--kmax", "50", "--then", "check", "log-convex",
+         "--format", "csv"],
+    ])
+    def test_flag_the_command_does_not_take_is_a_usage_error(self, argv, tmp_path, monkeypatch):
+        # only the sequence commands take --format csv and --out; majorant takes --out
+        monkeypatch.chdir(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.run(argv) == 3
+        assert out.getvalue() == ""
+        assert not (tmp_path / "plot.txt").exists()
+
+    def test_majorant_out_writes_the_rescaled_output(self, tmp_path):
+        dest = tmp_path / "plot.txt"
+        argv = ["majorant", "--family", "q18", "--kmax", "400", "--marked", "10,40,160",
+                "--out", str(dest)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.run(argv) == 0
+        trace = json.loads(out.getvalue())
+        rows = [line.split() for line in dest.read_text().splitlines()]
+        assert [int(k) for k, _ in rows] == list(range(401))
+        assert [float(v) for _, v in rows] == trace["output_rescaled"]["log_M"]
 
     def test_families_listing(self):
         r = run_cli("families")
@@ -267,11 +300,16 @@ def marked(kmax):
     ).map(lambda ks: ",".join(map(str, ks)))
 
 
+OUT = "<plot file>"  # replaced by a path in a fresh temporary directory
+
+
 @st.composite
 def argvs(draw):
     kmax = draw(st.integers(-3, 400))
     family = ["--family", draw(TOKENS), "--kmax", str(kmax)]
+    # every command may draw --format csv and --out; only some of them take each
     fmt = draw(st.sampled_from([[], ["--format", "csv"]]))
+    fmt += draw(st.sampled_from([[], ["--out", OUT]]))
     command = draw(st.sampled_from(
         ["families", "seq", "checkseq", "minorant", "check", "compose", "compare", "majorant", "fdb"]
     ))
@@ -281,7 +319,7 @@ def argvs(draw):
         argv = [command, draw(st.sampled_from(["bell", "bound"])), "--order",
                 str(draw(st.integers(-2, 40)))] + fmt
     elif command == "check":
-        argv = [command, draw(st.sampled_from(cli.CHECK_PREDICATES))] + family
+        argv = [command, draw(st.sampled_from(cli.CHECK_PREDICATES))] + family + fmt
         argv += draw(st.sampled_from([[], ["--weak"]]))
     elif command in ("compose", "compare"):
         argv = [command, "--with", draw(TOKENS)] + family + fmt
@@ -290,7 +328,7 @@ def argvs(draw):
         family[1] = draw(st.one_of(st.sampled_from(["q18", "q18p"]), TOKENS))
         argv = [command] + family + ["--marked", draw(marked(kmax))]
         argv += draw(st.sampled_from([[], ["--factor", draw(FACTOR)]]))
-        argv += draw(st.sampled_from([[], ["--weak"]]))
+        argv += draw(st.sampled_from([[], ["--weak"]])) + fmt
     else:
         argv = [command] + family + fmt + draw(st.sampled_from([[], ["--weak"]]))
     if draw(st.booleans()):
@@ -306,8 +344,11 @@ class TestFuzz:
     @given(argvs())
     def test_run_returns_an_exit_code(self, argv):
         # any exception or RuntimeWarning (an error in this suite) fails the test
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.run(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [os.path.join(tmp, "plot.txt") if a == OUT else a for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(argv)
         assert code in (0, 1, 2, 3)
 
 

@@ -20,6 +20,7 @@ from carleman_lab.seqcore import (
     DomainError,
     WeightSequence,
     log_factorial,
+    rescale,
     tabulate,
 )
 
@@ -192,6 +193,26 @@ class TestCheckBijection:
         lhs = np.exp(sc.log_m)
         rhs = mck * (1.0 + np.cumsum(1.0 / mck))
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+    @pytest.mark.parametrize("token", [
+        "q18", "q18p", "q18pp", "q:1:1", "q:0.5:2", "q:1:2", "q:1:3", "qhat:1:2", "p:0.5:2",
+        "analytic", "gevrey:1", "gevrey:0.5",
+    ])
+    def test_check_scale_matches_per_element_loop(self, token):
+        # the former recursion over numpy scalars, as an oracle; analytic and
+        # Gevrey sequences are rescaled by 3^k so that m_1 > 1
+        for k_max in (3, 60, 5000):
+            W = make_family(parse_family(token), k_max=k_max)
+            if token.startswith(("analytic", "gevrey")):
+                W = rescale(W, 1.0, 3.0)
+            sc = DerivedScales.from_weight_sequence(W)
+            log_m = sc.log_m
+            log_m_minus_1 = log_m + np.log1p(-np.exp(-log_m))
+            oracle = np.empty(len(log_m))
+            oracle[0] = log_m_minus_1[0]
+            for i in range(1, len(log_m)):
+                oracle[i] = oracle[i - 1] + log_m_minus_1[i] - log_m[i - 1]
+            assert np.array_equal(check_scale(sc), oracle), (token, k_max)
 
     def test_uncheck_scale_matches_per_element_loop(self):
         log_mck = check_scale(DerivedScales.from_weight_sequence(self.q18(10_000)))

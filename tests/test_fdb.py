@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from carleman_lab.fdb import (
     TruncatedSeries,
-    certificate_grid,
     compose_series,
     multiply_series,
     verify_composition_bound,
@@ -260,6 +259,16 @@ class TestCompositionBound:
             np.subtract(rep3["log_slack"], rep["log_slack"]), math.log(3.0), rtol=0, atol=1e-9
         )
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_short_series_rejected_before_composing(self, order):
+        f, g = self._analytic_pair(order)
+        with pytest.raises(DomainError, match="series of order >= 3, got " + str(order)):
+            verify_composition_bound(f, g)
+
+    def test_order_three_is_the_shortest_bound(self):
+        rep = verify_composition_bound(*self._analytic_pair(3))
+        assert rep["order"] == 2 and rep["ok"]
+
     def test_requires_certificates(self):
         f = TruncatedSeries((1, 1, 1))
         g = TruncatedSeries((0, 1, 1))
@@ -288,10 +297,3 @@ class TestCompositionBound:
             rep = verify_composition_bound(f, g)
             assert rep["violations"] == []
 
-
-class TestCertificateGrid:
-    def test_monotone_in_rho(self):
-        W = tabulate(lambda k: 0.0, 8, name="analytic")
-        grid = certificate_grid([1.0, 2.0, 6.0, 24.0], W)
-        cs = [c for _, c in grid]
-        assert all(c2 <= c1 for c1, c2 in zip(cs, cs[1:]))

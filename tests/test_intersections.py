@@ -4,11 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from carleman_lab.envelope import check_scale, log_convex_minorant
+from carleman_lab import cli
+from carleman_lab.envelope import check_scale, check_sequence, log_convex_minorant
 from carleman_lab.families import FamilySpec, make_family
+from carleman_lab.fdb import TruncatedSeries
 from carleman_lab.intersections import (
     _beta_ladder,
+    _greedy_escape_indices,
+    _phi,
+    _schedule,
     MajorantTrace,
     escape_log_coefficients,
     lprime_construction,
@@ -149,7 +155,7 @@ class TestSeparatingMajorant:
             separating_majorant(qpp, logf)
 
     def test_json_schema(self, trace):
-        d = json.loads(trace.to_json())
+        d = json.loads(cli.dumps(trace.to_dict()))
         for key in ("k_j", "a_j", "b_j", "beta_j", "phi_knots", "output", "report",
                     "rescale_rho", "output_rescaled"):
             assert key in d
@@ -190,6 +196,18 @@ class TestWeakSeparatingMajorant:
         assert is_log_convex(out, weak=True).holds
         gap = out.log_M - q18.log_M[: out.k_max + 1]
         assert gap.min() >= -1e-9
+
+    def test_blockwise_levels_match_the_former_block_loop(self, q18, witness, weak_trace):
+        assert weak_trace.report["pre_rescaled_by_e"] is False
+        s = _schedule(q18, witness)
+        log_l = np.empty(s.k_j[-1])
+        lo = 0
+        for j, kj in enumerate(s.k_j):
+            log_l[lo:kj] = s.log_beta[j] + s.log_qck[lo:kj]
+            lo = kj
+        ks = np.arange(1, len(log_l) + 1, dtype=float)
+        expect = np.concatenate(([0.0], ks * log_l - log_factorial(ks)))
+        assert np.array_equal(weak_trace.output.log_M, expect)
 
     def test_works_without_log_convex_check_sequence(self):
         # q18pp has a non-log-convex check sequence; the weak path still runs
@@ -351,6 +369,147 @@ class TestBetaLadder:
         Q = make_family(FamilySpec("q18"), k_max=400)
         with pytest.raises(DomainError, match="float range"):
             build(Q, escape_log_coefficients(Q, [10, 40, 160], factor=1e308))
+
+
+def exact_coefficient(log_c):
+    """An int near e^log_c from a 53-bit mantissa; it may lie far past the float range."""
+    e = max(int(log_c / math.log(2.0)) - 52, 0)
+    return round(math.exp(log_c - e * math.log(2.0))) << e
+
+
+class TestExactWitness:
+    @pytest.mark.parametrize("build", [separating_majorant, separating_majorant_weak])
+    def test_series_past_float_range_matches_its_log_coefficients(self, build):
+        Q = make_family(FamilySpec("q18"), k_max=400)
+        logf = escape_log_coefficients(Q, [10, 40, 160])
+        coeffs = [0] + [exact_coefficient(x) for x in logf[1:]]
+        coeffs[7] = 0  # a zero coefficient has log -inf (no RuntimeWarning)
+        assert max(coeffs) > 10**400
+        # log|c| as fdb takes it: in float when c fits, exactly when it does not
+        logs = [-math.inf if c == 0 else math.log(c) if c > 2.0**1000 else np.log(float(c))
+                for c in coeffs]
+        got = build(Q, TruncatedSeries(tuple(coeffs)))
+        expect = build(Q, np.array(logs))
+        assert cli.dumps(got.to_dict()) == cli.dumps(expect.to_dict())
+        assert got.k_j[:3] == (10, 40, 160)
+
+
+def double_loop_escape_indices(log_ratio):
+    """The former greedy search, one Python scan per threshold (oracle)."""
+    k_j, log_a = [], []
+    log4 = np.log(4.0)
+    j = start = 0
+    while True:
+        thr = j * log4
+        idx = None
+        for i in range(start, len(log_ratio)):
+            if log_ratio[i] >= thr:
+                idx = i
+                break
+        if idx is None:
+            return k_j, log_a
+        k_j.append(idx + 1)
+        log_a.append(thr)
+        start = idx + 1
+        j += 1
+
+
+def per_k_phi(k_j, log_beta, k_max):
+    """The former knot loop and per-k exponent loop of the strong majorant (oracle)."""
+    m = len(k_j)
+    c, d = np.empty(m), np.empty(m)
+    c[0], d[0] = 0.0, log_beta[0]
+    for j in range(1, m):
+        d[j] = (k_j[j] * log_beta[j] - k_j[j - 1] * log_beta[j - 1]) / (k_j[j] - k_j[j - 1])
+        c[j] = k_j[j] * (log_beta[j] - d[j])
+    if np.any(np.diff(d) < 0.0):
+        raise DomainError("slopes d_j failed to be non-decreasing")
+    if np.any(c > 1e-12):
+        raise DomainError("intercepts c_j failed to be non-positive")
+    phi = np.empty(k_max + 1)
+    block = 0
+    for k in range(k_max + 1):
+        while block < m and k > k_j[block]:
+            block += 1
+        jj = min(block, m - 1)
+        phi[k] = c[jj] + d[jj] * k
+    phi[0] = 0.0
+    return phi
+
+
+RATIOS = st.lists(
+    st.one_of(
+        st.floats(-2.0, 12.0),
+        st.integers(0, 8).map(lambda j: j * np.log(4.0)),  # exactly on a threshold
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    ),
+    max_size=300,
+)
+KNOTS = st.lists(st.integers(1, 400), min_size=3, max_size=8, unique=True).map(sorted)
+
+
+class TestVectorisedLoopsAgainstOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(RATIOS)
+    def test_greedy_escape_indices(self, ratios):
+        log_ratio = np.array(ratios, dtype=float)
+        k_j, log_a = _greedy_escape_indices(log_ratio)
+        ok_j, ok_a = double_loop_escape_indices(log_ratio)
+        assert np.array_equal(k_j, ok_j) and np.array_equal(log_a, ok_a)
+        assert k_j.dtype.kind == "i" and log_a.dtype == float
+
+    @settings(max_examples=300, deadline=None)
+    @given(KNOTS, st.floats(1e-6, 2.0), st.integers(0, 60), st.booleans(), st.data())
+    def test_phi(self, k_j, s, extra, ladder, data):
+        # on the beta ladder phi is well defined; random levels also reach its guards
+        if ladder:
+            log_beta = s * np.cumprod([1.0] + k_j[:-1])
+        else:
+            log_beta = np.array(data.draw(st.lists(
+                st.floats(-5.0, 50.0), min_size=len(k_j), max_size=len(k_j))))
+        k_max = k_j[-1] + extra
+
+        def outcome(fn, *args):
+            try:
+                return fn(*args)
+            except DomainError as e:
+                return str(e)
+
+        got = outcome(_phi, np.array(k_j), log_beta, k_max)
+        expect = outcome(per_k_phi, k_j, log_beta, k_max)
+        if isinstance(expect, str):
+            assert got == expect
+        else:
+            assert np.array_equal(got, expect)
+
+    def test_strong_majorant_is_the_oracle_phi_over_the_check_sequence(self, q18, witness, trace):
+        s = _schedule(q18, witness)
+        phi = per_k_phi(list(s.k_j), s.log_beta, q18.k_max)
+        assert np.array_equal(trace.output.log_M, phi + check_sequence(q18).log_M)
+
+
+class TestGuards:
+    @pytest.fixture(scope="class")
+    def q18_5000(self):
+        return make_family(FamilySpec("q18"), k_max=5000)
+
+    def test_min_combine_needs_weakly_log_convex_inputs(self, q18_5000):
+        Q = q18_5000
+        bumpy = WeightSequence("bumpy", 0, Q.log_M + 10.0 + 5.0 * (Q.ks % 2))
+        with pytest.raises(DomainError, match=r"^'bumpy' is not weakly log-convex \(witness k=\d+\)$"):
+            min_combine(bumpy, bumpy, Q)
+
+    def test_lprime_needs_a_dominating_input(self, q18_5000):
+        low = rescale(q18_5000, 1.0, 0.5).with_name("low")
+        with pytest.raises(DomainError, match=r"^'low' does not dominate 'q18' at k=1$"):
+            lprime_construction(q18_5000, low)
+
+    def test_min_combine_names_the_first_undominated_index(self, q18_5000):
+        Q = q18_5000
+        L = rescale(make_family(FamilySpec("gevrey", s=1.0), k_max=5000), 1.0, 2.0)
+        dip = WeightSequence("dip", 0, np.minimum(L.log_M, Q.log_M - 1.0 * (Q.ks >= 3)))
+        with pytest.raises(DomainError, match=r"^'dip' does not dominate 'q18' at k=3$"):
+            min_combine(L, dip, Q)
 
 
 class TestMajorantTraceValidation:

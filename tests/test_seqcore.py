@@ -15,7 +15,6 @@ from carleman_lab.seqcore import (
     WeightSequence,
     fm_membership,
     log_factorial,
-    normalize,
     rescale,
     tabulate,
 )
@@ -30,7 +29,6 @@ class TestWeightSequence:
     def test_basic_properties(self):
         W = tabulate(lambda k: float(k), 10, name="lin")
         assert W.k_max == 10
-        assert W.log_at(3) == 3.0
         assert list(W.ks) == list(range(11))
         np.testing.assert_allclose(W.slice(2, 4), [2.0, 3.0, 4.0])
 
@@ -58,9 +56,9 @@ class TestWeightSequence:
     def test_out_of_range_access(self):
         W = tabulate(lambda k: float(k), 5, k_min=2)
         with pytest.raises(DomainError):
-            W.log_at(1)
-        with pytest.raises(DomainError):
             W.slice(0, 4)
+        with pytest.raises(DomainError):
+            W.slice(2, 6)
 
 
 class TestDerivedScales:
@@ -112,21 +110,6 @@ class TestRescaleNormalize:
         V = rescale(W, 2.0, 3.0)
         assert "log-convex" in V.claims
         assert "derivation-closed" not in V.claims
-
-    def test_normalize_pins_first_two_entries(self):
-        W = WeightSequence("n", 0, np.array([1.3, 0.2, 0.9, 2.4]))
-        V, C, rho = normalize(W)
-        assert V.log_M[0] == 0.0
-        assert V.log_M[1] >= -1e-15
-        # the recorded constants reproduce the normalized values
-        np.testing.assert_allclose(
-            V.log_M, np.log(C) + V.ks * np.log(rho) + W.log_M, atol=1e-12
-        )
-
-    def test_normalize_keeps_increasing_when_log_convex(self):
-        W = WeightSequence("lc", 0, np.array([2.0, 1.0, 1.5, 3.0, 5.5]))
-        V, _, _ = normalize(W)
-        assert np.all(np.diff(V.log_M) >= -1e-12)
 
 
 class TestMembership:
