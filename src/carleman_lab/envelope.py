@@ -194,12 +194,17 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 
 
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
-    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}.
+    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k <= 500.
 
-    Max-plus dynamic program over the number of parts j, O(k^3); capped at
-    k_max_out <= 500.  Pass j builds G[k, j] = max_a log L_a + G[k - a, j - 1]
-    for every k at once and folds log M_j + G[., j] into a running maximum.
+    When every second difference of log L_1..log L_n is >= 0 exactly, (k-j+1, 1, ..., 1)
+    majorizes every composition of k into j parts, so by Karamata's inequality (M o L)_k =
+    max_j log M_j + (log L_{k-j+1} + c_{j-1}), c_{j-1} the running sum of j - 1 copies of
+    log L_1: one O(n^2) array expression, log L_0 unused.  Other L take the max-plus DP
+    over the number of parts j, O(n^3): pass j builds G[k, j] = max_a log L_a + G[k - a,
+    j - 1] for every k at once and folds log M_j + G[., j] into a running maximum.
     """
+    if k_max_out < 2:
+        raise DomainError("k_max_out must be at least 2")
     if k_max_out > MAX_COMPOSE_K:
         raise DomainError(f"k_max_out capped at {MAX_COMPOSE_K} (O(k^3) dynamic program)")
     if M.k_min != 0 or L.k_min != 0:
@@ -209,12 +214,20 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     n = k_max_out
     logL = L.log_M[: n + 1]
     logM = M.log_M[: n + 1]
+    out = np.full(n + 1, -np.inf)
+    out[0] = logM[0]
+    if np.all(np.diff(logL[1:], 2) >= 0.0):
+        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
+        # row j - 1, column k - 1 holds log L_{k-j+1}, or -inf where k < j
+        parts = sliding_window_view(np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
+        cand = parts + c[:, None]
+        cand += logM[1:, None]  # log M_j + (log L_{k-j+1} + c_{j-1}): addition commutes
+        out[1:] = cand.max(axis=0)
+        return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
     # after pass j, G[k] for k >= j is the max over alpha in N_{>0}^j with
     # sum alpha = k of sum log L_{a_i}
     G = np.full(n + 1, -np.inf)
     G[0] = 0.0
-    out = np.full(n + 1, -np.inf)
-    out[0] = logM[0]
     for j in range(1, n + 1):
         # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
         # a = N .. 1, padded with -inf where k - a < j - 1

@@ -7,20 +7,22 @@ section 3.3), which needs no factorials.  The coefficient type is chosen once
 per call: when every input coefficient is an int or Fraction the inputs are
 used as stored, so int inputs stay in the integers (Bell numbers stay exact
 far past the 2^53 threshold where f64 integer arithmetic silently rounds);
-otherwise both inputs are converted to float.
+otherwise both inputs are converted to float, and each float Bell column is one
+matrix-vector product, or the loop's per-entry sums once a value overflows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isfinite, lgamma, log
-from operator import mul
+from functools import reduce
+from math import comb, isfinite
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
 
-from .seqcore import DomainError, MembershipCertificate, fm_membership
+from .seqcore import DomainError, MembershipCertificate, _log_abs, fm_membership, log_factorial
 from .envelope import compose_sequences
 
 __all__ = [
@@ -56,7 +58,7 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", cs)
         if self.certificate is not None:
             cert = self.certificate
-            got = fm_membership([float(c) for c in cs], cert.seq, cert.rho)
+            got = fm_membership(cs, cert.seq, cert.rho)
             if got > cert.C * (1.0 + 1e-12):
                 raise DomainError(
                     f"certificate violated on stored prefix: needs C >= {got}, has {cert.C}"
@@ -81,13 +83,6 @@ class TruncatedSeries:
         return {"coeffs": [float(c) for c in self.coeffs], "certificate": cert}
 
 
-def _common_coeffs(f: TruncatedSeries, g: TruncatedSeries) -> tuple:
-    """Both coefficient tuples as stored when both series are exact, else as floats."""
-    if f.is_exact and g.is_exact:
-        return f.coeffs, g.coeffs
-    return tuple(map(float, f.coeffs)), tuple(map(float, g.coeffs))
-
-
 def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of f(g(x)); requires g_0 = 0.
 
@@ -100,7 +95,24 @@ def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     n = min(f.order, g.order) - 1
     if n < 1:
         raise DomainError("series too short to compose")
-    fc, gc = _common_coeffs(f, g)
+    fc, gc = f.coeffs, g.coeffs
+    if not (f.is_exact and g.is_exact):
+        fc, gc = tuple(map(float, fc)), tuple(map(float, gc))
+        # W[m, j] = C(m-1, j) g_{m-j} for j < m, else 0; exact binomials converted once
+        W = np.zeros((n + 1, n + 1))
+        for m, row in enumerate(_pascal_rows(n - 1), 1):
+            W[m, :m] = row
+        r = np.arange(n + 1)
+        bell = np.eye(n + 1)  # bell[k, m] = B_{m,k}: row 0, then one matrix-vector product a row
+        with np.errstate(over="ignore", invalid="ignore"):
+            W *= np.array(gc[: n + 1])[r[:, None] - r]  # the wrapped indices j > m meet zeros of W
+            for k in range(1, n + 1):
+                bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
+            out = np.array(fc[: n + 1]) @ bell
+        if np.all(np.isfinite(out)):
+            out[0] = fc[0]
+            return TruncatedSeries(tuple(out.tolist()))
+        # past the float range 0 * inf from the zero weights j >= m is NaN: take the j < m loop
     # w[m][j] = C(m-1, j) g_{m-j}, the weight of B_{j,k-1} in B_{m,k}
     w = [[comb(m - 1, j) * gc[m - j] for j in range(m)] for m in range(n + 1)]
     out = [fc[0]] + [0] * n
@@ -113,6 +125,14 @@ def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(tuple(out))
 
 
+def _pascal_rows(n: int):
+    """The exact int rows C(r, 0..r) for r = 0..n."""
+    row = [1]
+    for _ in range(n + 1):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
 def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """(fg)_k = sum_i binom(k, i) f_i g_{k-i} on the common prefix.
 
@@ -121,13 +141,12 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     (C_f C_g M_0, rho_f + rho_g), re-verified on the stored prefix.
     """
     n_out = min(f.order, g.order)
-    fc, gc = _common_coeffs(f, g)
-    out = []
-    for k in range(n_out + 1):
-        s = 0
-        for i in range(k + 1):
-            s += comb(k, i) * fc[i] * gc[k - i]
-        out.append(s)
+    fc, gc = f.coeffs, g.coeffs
+    if not (f.is_exact and g.is_exact):
+        fc, gc = tuple(map(float, fc)), tuple(map(float, gc))
+    # exact Pascal rows; reduce keeps the loop's sum order (sum compensates floats from 3.12)
+    out = [reduce(add, map(mul, map(mul, row, fc), reversed(gc[: k + 1])), 0)
+           for k, row in enumerate(_pascal_rows(n_out))]
     cert = None
     if (
         f.certificate is not None
@@ -142,16 +161,6 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             seq=W,
         )
     return TruncatedSeries(tuple(out), certificate=cert)
-
-
-def _log_abs(c) -> float:
-    """log|c|; exact coefficients beyond the float range are taken exactly."""
-    try:
-        return np.log(abs(float(c)))
-    except OverflowError:
-        if isinstance(c, Fraction):
-            return log(abs(c.numerator)) - log(c.denominator)
-        return log(abs(c))
 
 
 def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
@@ -177,20 +186,12 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     rho_g, C_g = g.certificate.rho, g.certificate.C
     tau = rho_g * (1.0 + rho_f * C_g)
     C_star = rho_f * C_f * C_g / (1.0 + rho_f * C_g)
-    slack = []
-    violations = []
-    lossy = False
-    for k in range(1, n + 1):
-        ck = fg.coeffs[k]
-        if isinstance(ck, float) and abs(ck) > 2.0**53:
-            lossy = True
-        log_bound = (
-            np.log(C_star) + k * np.log(tau) + lgamma(k + 1) + ML.log_M[k]
-        )
-        sl = float("inf") if ck == 0 else float(log_bound - _log_abs(ck))
-        slack.append(sl)
-        if sl < -1e-9:
-            violations.append(k)
+    ks = np.arange(1.0, n + 1)
+    log_bound = np.log(C_star) + ks * np.log(tau) + log_factorial(ks) + ML.log_M[1:]
+    log_c = _log_abs(fg.coeffs[1:])
+    slack = np.where(log_c == -np.inf, np.inf, log_bound - log_c).tolist()  # inf at (f o g)_k = 0
+    violations = [k for k, sl in enumerate(slack, 1) if sl < -1e-9]
+    lossy = any(isinstance(c, float) and abs(c) > 2.0**53 for c in fg.coeffs[1:])
     return {
         "tau": tau,
         "C_star": C_star,

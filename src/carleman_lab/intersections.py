@@ -29,11 +29,11 @@ from .seqcore import (
     DerivedScales,
     DomainError,
     WeightSequence,
+    _log_abs,
     log_factorial,
     rescale,
 )
 from . import envelope
-from .fdb import _log_abs
 from .predicates import _min_plus_splits, growth_diagnostic, is_log_convex
 
 __all__ = [
@@ -133,8 +133,7 @@ def escape_log_coefficients(
 def _witness_log_g(f, k_max: int) -> np.ndarray:
     """log g_k = log|f_k|^{1/k} for k = 1..n from a series or log-coefficient array."""
     if hasattr(f, "coeffs"):
-        with np.errstate(divide="ignore"):  # a zero coefficient has log -inf
-            log_abs = np.array([_log_abs(c) for c in f.coeffs[1:]], dtype=float)
+        log_abs = _log_abs(f.coeffs[1:])  # a zero coefficient has log -inf
     else:
         log_abs = np.asarray(f, dtype=float)[1:]
     n = min(len(log_abs), k_max)

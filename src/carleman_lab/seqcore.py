@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from math import lgamma
+from math import lgamma, log
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -233,27 +233,44 @@ def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
     return WeightSequence(name=W.name, k_min=W.k_min, log_M=log_M, claims=claims)
 
 
-def fm_membership(coeffs: Sequence[float], W: WeightSequence, rho: float) -> float:
+def _log_abs_one(c) -> float:
+    try:
+        return np.log(abs(float(c)))
+    except OverflowError:
+        return log(abs(c.numerator)) - log(c.denominator)
+
+
+def _log_abs(coeffs: Sequence) -> np.ndarray:
+    """log|c| per coefficient, -inf at 0; an int or Fraction past the float range exactly."""
+    with np.errstate(divide="ignore"):
+        try:
+            return np.log(np.abs(np.asarray(coeffs, dtype=float)))
+        except OverflowError:  # log|numerator| - log(denominator) where float(c) overflows
+            return np.array([_log_abs_one(c) for c in coeffs])
+
+
+def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     """Smallest C with |f_k| <= C rho^k k! M_k on the stored prefix.
 
-    Returns inf when a required M_k lies outside the tabulation.
+    Exact coefficients past the float range are taken in log space; C may be inf.
     """
     if rho <= 0:
         raise DomainError("rho must be positive")
-    f = np.asarray(list(coeffs), dtype=float)
-    if f.size < 1:
+    log_f = _log_abs(coeffs)
+    if log_f.size < 1:
         raise DomainError("need at least one coefficient")
-    n = f.size - 1
+    n = log_f.size - 1
     if W.k_min > 0 or W.k_max < n:
         raise DomainError("weight sequence does not cover the coefficient range")
     ks = np.arange(n + 1, dtype=float)
-    nz = f != 0.0
+    nz = log_f != -np.inf
     if not np.any(nz):
         return 0.0
     log_ratio = (
-        np.log(np.abs(f[nz]))
+        log_f[nz]
         - ks[nz] * np.log(rho)
         - log_factorial(ks[nz])
         - W.log_M[: n + 1][nz]
     )
-    return float(np.exp(np.max(log_ratio)))
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.max(log_ratio)))

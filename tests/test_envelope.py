@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab import envelope
 from carleman_lab.envelope import (
     check_scale,
     check_sequence,
@@ -314,6 +315,77 @@ class TestCompose:
         W = tabulate(lambda k: 0.0, 600)
         with pytest.raises(DomainError):
             compose_sequences(W, W, 501)
+
+
+@st.composite
+def log_convex_compose_inputs(draw):
+    """(M, L, n) with log L_1..log L_n convex: a strictly convex walk, a dyadic
+    affine line (exact zero second differences), or either under an affine
+    stretch log L_k + a + b k; log L_0 and log L_1 are arbitrary."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curvature = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
+    if curvature == 0.0:
+        ks = np.arange(n + 3, dtype=float)
+        log_L = draw(st.integers(-40, 40)) / 8 + ks * draw(st.integers(-40, 40)) / 8
+    else:
+        d2 = curvature * np.abs(rng.normal(size=n + 3))
+        log_L = np.cumsum(rng.normal() + np.cumsum(d2))
+    if draw(st.booleans()):
+        log_L = log_L + rng.normal() * 10 + np.arange(n + 3) * rng.normal() * 10
+    log_L[0] = rng.normal() * 10
+    log_M = np.cumsum(rng.normal(size=n + 3))
+    return WeightSequence("M", 0, log_M), WeightSequence("L", 0, log_L), n
+
+
+class TestComposeClosedForm:
+    """The Karamata closed form that compose_sequences takes for log-convex L."""
+
+    @given(log_convex_compose_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_within_1e14_of_double_loop(self, inputs):
+        M, L, n = inputs
+        got, want = compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n)
+        if np.all(np.diff(L.log_M[1 : n + 1], 2) >= 0.0):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
+        else:  # a stretch rounded some second difference below 0: the DP ran
+            assert np.array_equal(got, want)
+
+    @given(log_convex_compose_inputs().filter(lambda t: t[2] <= 9))
+    @settings(max_examples=60, deadline=None)
+    def test_within_1e14_of_enumeration(self, inputs):
+        M, L, n = inputs
+        got = compose_sequences(M, L, n).log_M
+        want = [brute_force_compose(M.log_M, L.log_M, k) for k in range(1, n + 1)]
+        np.testing.assert_allclose(got[1:], want, rtol=1e-14, atol=1e-14)
+
+    def test_one_ulp_concavity_takes_the_dynamic_program(self, monkeypatch):
+        # a dyadic line has exact zero second differences; one ulp off its top
+        # entry makes the last one -1 ulp, and the DP (one window per pass) must run
+        n = 40
+        log_L = 0.5 + 0.25 * np.arange(n + 1)
+        log_M = np.cumsum(np.random.default_rng(3).normal(size=n + 1))
+        M = WeightSequence("M", 0, log_M)
+        windows = []
+        real = envelope.sliding_window_view
+        monkeypatch.setattr(envelope, "sliding_window_view",
+                            lambda *a: windows.append(1) or real(*a))
+        compose_sequences(M, WeightSequence("L", 0, log_L), n)
+        assert len(windows) == 1  # the closed form
+        log_L[n] = np.nextafter(log_L[n], -np.inf)
+        d2 = np.diff(log_L[1:], 2)
+        assert np.count_nonzero(d2) == 1 and d2[-1] == -np.spacing(log_L[n])
+        L = WeightSequence("L", 0, log_L)
+        windows.clear()
+        got = compose_sequences(M, L, n).log_M
+        assert len(windows) == n
+        assert np.array_equal(got, double_loop_compose(M, L, n))
+
+    @pytest.mark.parametrize("k_max_out", [0, 1])
+    def test_too_short_output_rejected(self, k_max_out):
+        W = tabulate(lambda k: 0.0, 10)
+        with pytest.raises(DomainError, match="at least 2"):
+            compose_sequences(W, W, k_max_out)
 
 
 class TestLogConvexMinorant:

@@ -1,10 +1,15 @@
 import math
+import re
+import warnings
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carleman_lab import fdb
+from carleman_lab.envelope import compose_sequences
 from carleman_lab.fdb import (
     TruncatedSeries,
     compose_series,
@@ -14,6 +19,7 @@ from carleman_lab.fdb import (
 from carleman_lab.seqcore import (
     DomainError,
     MembershipCertificate,
+    fm_membership,
     log_factorial,
     tabulate,
 )
@@ -56,6 +62,89 @@ def horner_compose(f, g):
     return TruncatedSeries(tuple(c[k] * math.factorial(k) for k in range(n + 1)))
 
 
+def loop_float_compose(f, g):
+    """The per-entry Python Bell loop compose_series ran on float inputs before
+    each Bell column became one matrix-vector product."""
+    n = min(f.order, g.order) - 1
+    fc, gc = tuple(map(float, f.coeffs)), tuple(map(float, g.coeffs))
+    w = [[math.comb(m - 1, j) * gc[m - j] for j in range(m)] for m in range(n + 1)]
+    out = [fc[0]] + [0] * n
+    col = [1] + [0] * n
+    for k in range(1, n + 1):
+        col = [0] * k + [sum(map(mul, w[m][k - 1 :], col[k - 1 : m])) for m in range(k, n + 1)]
+        for m in range(k, n + 1):
+            out[m] += fc[k] * col[m]
+    return out
+
+
+def double_loop_multiply(f, g):
+    """multiply_series as a double loop with one math.comb per term."""
+    n_out = min(f.order, g.order)
+    fc, gc = f.coeffs, g.coeffs
+    if not (f.is_exact and g.is_exact):
+        fc, gc = tuple(map(float, fc)), tuple(map(float, gc))
+    out = []
+    for k in range(n_out + 1):
+        s = 0
+        for i in range(k + 1):
+            s += math.comb(k, i) * fc[i] * gc[k - i]
+        out.append(s)
+    return TruncatedSeries(tuple(out))
+
+
+def scalar_log_abs(c):
+    """log|c| one coefficient at a time; exact coefficients past the float range exactly."""
+    try:
+        return np.log(abs(float(c)))
+    except OverflowError:
+        if isinstance(c, Fraction):
+            return math.log(abs(c.numerator)) - math.log(c.denominator)
+        return math.log(abs(c))
+
+
+def loop_bound_report(f, g, fg=None):
+    """verify_composition_bound with the per-k slack loop (lgamma, scalar logs)."""
+    n = min(f.order, g.order) - 1
+    ML = compose_sequences(f.certificate.seq, g.certificate.seq, n)
+    fg = compose_series(f, g) if fg is None else fg
+    rho_f, C_f = f.certificate.rho, f.certificate.C
+    rho_g, C_g = g.certificate.rho, g.certificate.C
+    tau = rho_g * (1.0 + rho_f * C_g)
+    C_star = rho_f * C_f * C_g / (1.0 + rho_f * C_g)
+    slack, violations, lossy = [], [], False
+    for k in range(1, n + 1):
+        ck = fg.coeffs[k]
+        if isinstance(ck, float) and abs(ck) > 2.0**53:
+            lossy = True
+        log_bound = np.log(C_star) + k * np.log(tau) + math.lgamma(k + 1) + ML.log_M[k]
+        sl = float("inf") if ck == 0 else float(log_bound - scalar_log_abs(ck))
+        slack.append(sl)
+        if sl < -1e-9:
+            violations.append(k)
+    return {
+        "tau": tau,
+        "C_star": C_star,
+        "order": n,
+        "log_slack": slack,
+        "violations": violations,
+        "ok": not violations,
+        "lossy_float_coefficients": lossy,
+    }
+
+
+def float_fm_membership(coeffs, W, rho):
+    """fm_membership as it read every coefficient: through float."""
+    f = np.array([float(c) for c in coeffs])
+    ks = np.arange(len(f), dtype=float)
+    nz = f != 0.0
+    if not np.any(nz):
+        return 0.0
+    log_ratio = (
+        np.log(np.abs(f[nz])) - ks[nz] * np.log(rho) - log_factorial(ks[nz]) - W.log_M[: len(f)][nz]
+    )
+    return float(np.exp(np.max(log_ratio)))
+
+
 def _series(draw_coeff, inner):
     """Strategy for a series of order 2..12; an inner series gets g_0 = 0."""
     coeffs = st.lists(draw_coeff, min_size=3, max_size=13)
@@ -68,6 +157,7 @@ INTS = st.integers(-50, 50)
 EXACT = st.one_of(INTS, st.fractions(-5, 5, max_denominator=12))
 # no magnitudes below 1e-3, whose products would underflow
 FLOATS = st.floats(-4.0, 4.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-3)
+MIXED = st.one_of(INTS, EXACT, FLOATS)
 
 
 def oracle_compose(f, g, n):
@@ -112,6 +202,35 @@ class TestTruncatedSeries:
         TruncatedSeries((1, 1, 2), certificate=cert)  # |f_k| <= k!: fine
         with pytest.raises(DomainError):
             TruncatedSeries((1, 1, 100), certificate=cert)
+
+
+class TestCertificateMagnitudes:
+    """Certificate checks take log|c| of exact coefficients without float()."""
+
+    W0 = tabulate(lambda k: 0.0, 10, name="analytic")
+    W1000 = tabulate(lambda k: 1000.0, 10, name="huge")
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_exact_past_float_range(self, big):
+        with pytest.raises(DomainError, match="certificate violated"):
+            TruncatedSeries((big, 1, 1), certificate=MembershipCertificate(1.0, 1.0, self.W0))
+        # log 10^400 = 921.03 < log M_0 = 1000
+        s = TruncatedSeries((big, 1, 1), certificate=MembershipCertificate(1.0, 1.0, self.W1000))
+        assert s.coeffs[0] == big and type(s.coeffs[0]) is type(big)
+        denominator = big.denominator if isinstance(big, Fraction) else 1
+        want = math.exp(math.log(10**400) - math.log(denominator) - 1000.0)
+        assert fm_membership(s.coeffs, self.W1000, 1.0) == pytest.approx(want, rel=1e-12)
+
+    @given(cs=st.lists(MIXED, min_size=2, max_size=11), rho=st.floats(0.25, 4.0))
+    @settings(max_examples=100, deadline=None)
+    def test_in_float_range_as_through_float(self, cs, rho):
+        W = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 10, name="w")
+        got, want = fm_membership(cs, W, rho), float_fm_membership(cs, W, rho)
+        assert repr(got) == repr(want)
+        C = want / 2 if want > 0 else 1.0
+        if want > C * (1.0 + 1e-12):
+            with pytest.raises(DomainError, match=re.escape(f"needs C >= {want}, has {C}") + "$"):
+                TruncatedSeries(tuple(cs), certificate=MembershipCertificate(C, rho, W))
 
 
 class TestCompose:
@@ -182,6 +301,54 @@ class TestCompose:
         for got, want, mag in zip(out.coeffs, oracle.coeffs, scale.coeffs):
             assert abs(Fraction(got) - want) <= Fraction(1e-12) * mag
 
+    @given(f=_series(MIXED, False), g=_series(FLOATS, True))
+    @settings(max_examples=80, deadline=None)
+    def test_float_within_1e12_of_the_loop(self, f, g):
+        # error relative to |f| o |g|, as above
+        out, loop = compose_series(f, g), loop_float_compose(f, g)
+        scale = horner_compose(
+            TruncatedSeries(tuple(abs(c) for c in f.coeffs)),
+            TruncatedSeries(tuple(abs(c) for c in g.coeffs)),
+        )
+        for got, want, mag in zip(out.coeffs, loop, scale.coeffs):
+            assert abs(Fraction(got) - Fraction(want)) <= Fraction(1e-12) * mag
+
+    def test_float_keeps_f0_as_stored(self):
+        f, g = TruncatedSeries((-0.0, 1.0, 2.0, 3.0)), TruncatedSeries((0.0, 1.0, -1.0, 1.0))
+        assert repr(compose_series(f, g).coeffs) == repr(tuple(loop_float_compose(f, g)))
+
+    @pytest.mark.parametrize("n", [60, 160, 200])
+    def test_float_bell_columns_within_1e12_of_the_loop(self, n):
+        # |f| o |g| = f o g here: the Bell numbers
+        f = TruncatedSeries(tuple([1.0] * (n + 2)))
+        g = TruncatedSeries(tuple([0.0] + [1.0] * (n + 1)))
+        bell = np.array([float(b) for b in bell_numbers(n)])
+        got = np.array(compose_series(f, g).coeffs)
+        np.testing.assert_allclose(got, loop_float_compose(f, g), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, bell, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "n, g_big", [(300, None), (40, 20), (40, 40)], ids=["bell-300", "g20-big", "g40-big"]
+    )
+    def test_float_overflow_as_the_loop(self, monkeypatch, n, g_big):
+        # 2 e^x o (e^x - 1) at order 300 passes the float range (S(300, k) > 1.8e308), as
+        # does C(m-1, j) g_{m-j} or 2 g_{m-j} once g_{m-j} = 1.7e308 (g_40 is the last one used)
+        f = TruncatedSeries(tuple([2.0] * (n + 2)))
+        gc = [0.0] + [1.0] * (n + 1)
+        if g_big is not None:
+            gc[g_big] = 1.7e308
+        g = TruncatedSeries(tuple(gc))
+        loop = loop_float_compose(f, g)
+        assert not all(map(math.isfinite, loop))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite coefficient"):
+                compose_series(f, g)
+            # past the series' own finiteness check: the loop's entries, bit for bit,
+            # so finite ones match and inf and NaN sit where the loop puts them
+            monkeypatch.setattr(fdb, "isfinite", lambda c: True)
+            assert repr(compose_series(f, g).coeffs) == repr(tuple(loop))
+
     def test_requires_zero_constant_term(self):
         f = TruncatedSeries((1, 1, 1))
         with pytest.raises(DomainError):
@@ -209,6 +376,25 @@ class TestMultiply:
         e = TruncatedSeries(tuple([1] * (n + 1)))
         out = multiply_series(e, e)
         assert list(out.coeffs) == [2**k for k in range(n + 1)]
+
+    @pytest.mark.parametrize(
+        "coeff", [INTS, EXACT, FLOATS, MIXED], ids=["int", "fraction", "float", "mixed"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_double_loop_bit_for_bit(self, coeff, data):
+        f = data.draw(_series(coeff, False))
+        g = data.draw(_series(coeff, False))
+        out, want = multiply_series(f, g), double_loop_multiply(f, g)
+        assert repr(out.coeffs) == repr(want.coeffs)  # value and type
+
+    @pytest.mark.parametrize("one", [1, 1.0, Fraction(1, 3)])
+    def test_double_loop_bit_for_bit_at_order_300(self, one):
+        rng = np.random.default_rng(5)
+        f = TruncatedSeries(tuple(one * int(v) for v in rng.integers(-9, 10, size=301)))
+        g = TruncatedSeries(tuple(one * float(v) if isinstance(one, float) else one * int(v)
+                                  for v in rng.normal(size=301) * 7))
+        assert repr(multiply_series(f, g).coeffs) == repr(double_loop_multiply(f, g).coeffs)
 
     def test_certificate_combination(self):
         W = tabulate(lambda k: 0.0, 12, name="analytic")
@@ -268,6 +454,57 @@ class TestCompositionBound:
     def test_order_three_is_the_shortest_bound(self):
         rep = verify_composition_bound(*self._analytic_pair(3))
         assert rep["order"] == 2 and rep["ok"]
+
+    @pytest.mark.parametrize(
+        "n, one", [(16, 1), (48, 1), (200, 1), (230, 1), (230, Fraction(1, 3)), (40, 1.0)]
+    )
+    def test_slack_loop_bit_for_bit(self, n, one):
+        # orders 200 and 230 are the exact Bell bound inside and past the float
+        # range; float order 40 has coefficients past 2^53
+        f, g = self._analytic_pair(n)
+        f = TruncatedSeries(tuple(one * c for c in f.coeffs), certificate=f.certificate)
+        g = TruncatedSeries(tuple(one * 0 + c for c in g.coeffs), certificate=g.certificate)
+        rep = verify_composition_bound(f, g)
+        assert repr(rep) == repr(loop_bound_report(f, g))
+        assert rep["lossy_float_coefficients"] == isinstance(one, float)
+
+    def test_slack_loop_bit_for_bit_on_zero_coefficients(self):
+        # f(x) = x + x^3 / 3! and g(x) = x: (f o g)_k = 0 at every even k
+        W = tabulate(lambda k: 0.0, 14, name="analytic", claims={"log-convex"})
+        cert = MembershipCertificate(C=1.0, rho=1.0, seq=W)
+        for one in (1, 1.0):
+            f = TruncatedSeries(tuple(one * c for c in (0, 1, 0, 1) + (0,) * 6), certificate=cert)
+            g = TruncatedSeries(tuple(one * c for c in (0, 1) + (0,) * 8), certificate=cert)
+            rep = verify_composition_bound(f, g)
+            assert rep["log_slack"][1] == math.inf
+            assert repr(rep) == repr(loop_bound_report(f, g))
+
+    def test_slack_loop_bit_for_bit_on_random_certified_pairs(self):
+        rng = np.random.default_rng(7)
+        ks = np.arange(0, 14, dtype=float)
+        W = tabulate(list(0.4 * ks * np.log(ks + 1.0)), 13, name="w", claims={"log-convex"})
+        for _ in range(200):
+            fc = rng.normal(size=13) * np.exp(rng.uniform(0.0, 0.5) * log_factorial(ks[:13]))
+            gc = rng.normal(size=13)
+            gc[0] = 0.0
+            rho_f, rho_g = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
+            f = TruncatedSeries(tuple(fc), certificate=MembershipCertificate(
+                max(fm_membership(fc, W, rho_f), 1e-9), rho_f, W))
+            g = TruncatedSeries(tuple(gc), certificate=MembershipCertificate(
+                max(fm_membership(gc, W, rho_g), 1e-9), rho_g, W))
+            assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3), 1e300])
+    def test_reports_a_violation(self, monkeypatch, big):
+        # a (f o g)_5 past the bound, exact past the float range or a float inside it
+        f, g = self._analytic_pair(12)
+        fg = compose_series(f, g)
+        fg = TruncatedSeries(fg.coeffs[:5] + (big,) + fg.coeffs[6:])
+        monkeypatch.setattr(fdb, "compose_series", lambda f, g: fg)
+        rep = verify_composition_bound(f, g)
+        assert rep["violations"] == [5] and not rep["ok"]
+        assert rep["lossy_float_coefficients"] == isinstance(big, float)
+        assert repr(rep) == repr(loop_bound_report(f, g, fg))
 
     def test_requires_certificates(self):
         f = TruncatedSeries((1, 1, 1))
