@@ -3,12 +3,9 @@
 Coefficients follow the derivative normalization: the stored f_k corresponds
 to the k-th derivative, so the Taylor coefficient is f_k / k!.  Composition
 is one partial Bell polynomial recurrence (Comtet, Advanced Combinatorics,
-section 3.3), which needs no factorials.  The coefficient type is chosen once
-per call: when every input coefficient is an int or Fraction the inputs are
-used as stored, so int inputs stay in the integers (Bell numbers stay exact
-far past the 2^53 threshold where f64 integer arithmetic silently rounds);
-otherwise both inputs are converted to float, and each float Bell column is one
-matrix-vector product, or the loop's per-entry sums once a value overflows.
+section 3.3), O(N^3) and free of factorials.  Exact (int, Fraction) inputs
+have their denominators cleared and run on object arrays of Python ints, so
+they stay exact far past 2^53; other inputs run in float.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, isfinite
+from math import isfinite, lcm
 from operator import add, mul
 from typing import Optional
 
@@ -72,56 +69,52 @@ class TruncatedSeries:
     def is_exact(self) -> bool:
         return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
 
-    def to_dict(self) -> dict:
-        cert = None
-        if self.certificate is not None:
-            cert = {
-                "C": float(self.certificate.C),
-                "rho": float(self.certificate.rho),
-                "seq": self.certificate.seq.name,
-            }
-        return {"coeffs": [float(c) for c in self.coeffs], "certificate": cert}
-
 
 def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficients of f(g(x)); requires g_0 = 0.
 
-    Output indices run 0 .. min(N_f, N_g) - 1.  (f o g)_m is
-    sum_k f_k B_{m,k}(g), with the partial Bell polynomials built column by
-    column from B_{m,k} = sum_i C(m-1, i-1) g_i B_{m-i,k-1}, O(N^3).
+    Output indices run 0 .. n = min(N_f, N_g) - 1.  (f o g)_m =
+    sum_k f_k B_{m,k}(g), and each row of partial Bell polynomials is one
+    matrix-vector product: B_{m,k} = sum_j C(m-1, j) g_{m-j} B_{j,k-1}.  Exact
+    inputs are g = g'/D, f = f'/E with int g', f'; as B_{m,k}(g) =
+    B_{m,k}(g')/D^k, the products run on object-dtype ints with outer weights
+    f'_k D^(n-k), and each output is one Fraction over E D^n.
     """
     if g.coeffs[0] != 0:
         raise DomainError("composition requires g_0 = 0")
     n = min(f.order, g.order) - 1
     if n < 1:
         raise DomainError("series too short to compose")
-    fc, gc = f.coeffs, g.coeffs
-    if not (f.is_exact and g.is_exact):
-        fc, gc = tuple(map(float, fc)), tuple(map(float, gc))
-        # W[m, j] = C(m-1, j) g_{m-j} for j < m, else 0; exact binomials converted once
-        W = np.zeros((n + 1, n + 1))
+    fc, gc = f.coeffs[: n + 1], g.coeffs[: n + 1]
+    if f.is_exact and g.is_exact:
+        D = lcm(*(c.denominator for c in gc))
+        E = lcm(*(c.denominator for c in fc))
+        gc = [c.numerator * (D // c.denominator) for c in gc]
+        fc = [c.numerator * (E // c.denominator) * D ** (n - k) for k, c in enumerate(fc)]
+        dtype, den = object, E * D**n
+    else:
+        fc, gc = list(map(float, fc)), list(map(float, gc))
+        dtype, den = float, 1
+    # W[m, j] = C(m-1, j) g_{m-j} for j < m, else 0; binomials from exact Pascal rows
+    W = np.zeros((n + 1, n + 1), dtype)
+    try:
         for m, row in enumerate(_pascal_rows(n - 1), 1):
             W[m, :m] = row
-        r = np.arange(n + 1)
-        bell = np.eye(n + 1)  # bell[k, m] = B_{m,k}: row 0, then one matrix-vector product a row
-        with np.errstate(over="ignore", invalid="ignore"):
-            W *= np.array(gc[: n + 1])[r[:, None] - r]  # the wrapped indices j > m meet zeros of W
-            for k in range(1, n + 1):
-                bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
-            out = np.array(fc[: n + 1]) @ bell
-        if np.all(np.isfinite(out)):
-            out[0] = fc[0]
-            return TruncatedSeries(tuple(out.tolist()))
-        # past the float range 0 * inf from the zero weights j >= m is NaN: take the j < m loop
-    # w[m][j] = C(m-1, j) g_{m-j}, the weight of B_{j,k-1} in B_{m,k}
-    w = [[comb(m - 1, j) * gc[m - j] for j in range(m)] for m in range(n + 1)]
-    out = [fc[0]] + [0] * n
-    col = [1] + [0] * n  # B_{m,0}
-    for k in range(1, n + 1):
-        # B_{j,k-1} = 0 for j < k - 1, so the sums start at j = k - 1
-        col = [0] * k + [sum(map(mul, w[m][k - 1 :], col[k - 1 : m])) for m in range(k, n + 1)]
-        for m in range(k, n + 1):
-            out[m] += fc[k] * col[m]
+    except OverflowError:
+        raise DomainError(
+            f"a binomial weight C({m - 1}, j) passed the float range at order {n}; "
+            "exact coefficients compose at any order"
+        ) from None
+    r = np.arange(n + 1)
+    bell = np.eye(n + 1, dtype=dtype)  # bell[k, m] = B_{m,k}: row 0, then one product a row
+    with np.errstate(over="ignore", invalid="ignore"):  # TruncatedSeries rejects inf and NaN
+        W *= np.array(gc, dtype)[r[:, None] - r]  # the wrapped indices j > m meet zeros of W
+        for k in range(1, n + 1):
+            bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
+        out = (np.array(fc, dtype) @ bell).tolist()
+    out[0] = fc[0]  # f_0 as stored: f_0 + 0 + ... would lose a -0.0
+    if den != 1:
+        out = [Fraction(c, den) for c in out]
     return TruncatedSeries(tuple(out))
 
 

@@ -77,6 +77,22 @@ def loop_float_compose(f, g):
     return out
 
 
+def loop_exact_compose(f, g):
+    """The per-entry Python Bell loop compose_series ran on int and Fraction
+    inputs before their denominators were cleared for the matrix-vector rows.
+    Returns a TruncatedSeries, so integral results collapse to int."""
+    n = min(f.order, g.order) - 1
+    fc, gc = f.coeffs, g.coeffs
+    w = [[math.comb(m - 1, j) * gc[m - j] for j in range(m)] for m in range(n + 1)]
+    out = [fc[0]] + [0] * n
+    col = [1] + [0] * n
+    for k in range(1, n + 1):
+        col = [0] * k + [sum(map(mul, w[m][k - 1 :], col[k - 1 : m])) for m in range(k, n + 1)]
+        for m in range(k, n + 1):
+            out[m] += fc[k] * col[m]
+    return TruncatedSeries(tuple(out))
+
+
 def double_loop_multiply(f, g):
     """multiply_series as a double loop with one math.comb per term."""
     n_out = min(f.order, g.order)
@@ -330,7 +346,7 @@ class TestCompose:
     @pytest.mark.parametrize(
         "n, g_big", [(300, None), (40, 20), (40, 40)], ids=["bell-300", "g20-big", "g40-big"]
     )
-    def test_float_overflow_as_the_loop(self, monkeypatch, n, g_big):
+    def test_float_overflow_raises_non_finite(self, n, g_big):
         # 2 e^x o (e^x - 1) at order 300 passes the float range (S(300, k) > 1.8e308), as
         # does C(m-1, j) g_{m-j} or 2 g_{m-j} once g_{m-j} = 1.7e308 (g_40 is the last one used)
         f = TruncatedSeries(tuple([2.0] * (n + 2)))
@@ -344,10 +360,28 @@ class TestCompose:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="non-finite coefficient"):
                 compose_series(f, g)
-            # past the series' own finiteness check: the loop's entries, bit for bit,
-            # so finite ones match and inf and NaN sit where the loop puts them
-            monkeypatch.setattr(fdb, "isfinite", lambda c: True)
-            assert repr(compose_series(f, g).coeffs) == repr(tuple(loop))
+
+    def test_float_binomial_weight_past_float_range(self):
+        # e^x o 2^-40 (e^x - 1) stays small, but C(1030, 515) > 1.8e308 is a weight of order 1100
+        n = 1100
+        f = TruncatedSeries(tuple([1.0] * (n + 2)))
+        g = TruncatedSeries(tuple([0.0] + [2.0**-40] * (n + 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="binomial weight .* passed the float range"):
+                compose_series(f, g)
+
+    @pytest.mark.parametrize("n", [48, 200])
+    @pytest.mark.parametrize(
+        "f_one, g_one",
+        [(1, 1), (Fraction(1, 3), Fraction(1, 3)), (Fraction(5, 7), Fraction(-7, 12))],
+        ids=["int", "third", "mixed-7-12"],
+    )
+    def test_exact_as_the_loop_in_value_and_type(self, n, f_one, g_one):
+        # D^n and E D^n at n = 200, far past the orders the Horner tests draw
+        f = TruncatedSeries(tuple(f_one * (k % 3 + 1) for k in range(n + 2)))
+        g = TruncatedSeries((0,) + tuple(g_one * (-1) ** k for k in range(n + 1)))
+        assert repr(compose_series(f, g).coeffs) == repr(loop_exact_compose(f, g).coeffs)
 
     def test_requires_zero_constant_term(self):
         f = TruncatedSeries((1, 1, 1))
