@@ -66,16 +66,20 @@ class EnvelopeResult:
 def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     """Lower convex envelope of the points (i, y_i), by a monotone-chain sweep.
 
-    Index i on hull segment (a, b) gets y_a + (i - a)(y_b - y_a)/(b - a); all
-    segments are filled in one array pass.
+    Past the last i where it would pop i - 1 off the chain (i - 2, i - 1), nothing is
+    popped once i - 2 is the second-to-last vertex, so the rest is appended as one array.
+    Index i on hull segment (a, b) gets y_a + (i - a)(y_b - y_a)/(b - a), in one pass.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
     if n < 3:
         raise DomainError("need at least 3 points for an envelope")
+    # the sweep's own test for a = i - 2, b = i - 1, at i = 2 .. n - 1
+    pops = np.flatnonzero((y[1:-1] - y[:-2]) * 2 >= y[2:] - y[:-2])
+    last = int(pops[-1]) + 2 if pops.size else 0
     yl = y.tolist()
-    hull = [0]
-    for i in range(1, n):
+    hull, i = [0, 1], 2
+    while i < n and (i <= last or hull[-2] != i - 2):
         # pop while the previous vertex lies on or above the new chord
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
@@ -84,7 +88,8 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
             else:
                 break
         hull.append(i)
-    h = np.asarray(hull)
+        i += 1
+    h = np.concatenate((hull, np.arange(i, n)))
     reps = np.diff(h)
     reps[-1] += 1  # the last segment also fills its right end
     a, b = np.repeat(h[:-1], reps), np.repeat(h[1:], reps)
@@ -92,7 +97,7 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     # re-collect contact indices: interior points of a segment may coincide
     # with the input when the input is affine there
     contact = np.flatnonzero(values >= y - 1e-12 * np.maximum(1.0, np.abs(y)))
-    edge = hull[-1] - hull[-2] > 1
+    edge = bool(h[-1] - h[-2] > 1)
     return EnvelopeResult(values=values, contact_set=contact, is_edge_sensitive=edge)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqcore import DomainError, MembershipCertificate, _log_abs, fm_membership, log_factorial
+from .seqcore import DomainError, MembershipCertificate, _log_abs, _log_factorials, fm_membership
 from .envelope import compose_sequences
 
 __all__ = [
@@ -28,13 +28,6 @@ __all__ = [
     "multiply_series",
     "verify_composition_bound",
 ]
-
-
-def _simplify(c):
-    """Collapse integral Fractions back to int."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 @dataclass(frozen=True)
@@ -46,16 +39,21 @@ class TruncatedSeries:
     certificate: Optional[MembershipCertificate] = None
 
     def __post_init__(self):
-        cs = tuple(_simplify(c) for c in self.coeffs)
+        cs, finite = [], True
+        for c in self.coeffs:  # float and int are tested before the costlier Fraction ABC
+            if isinstance(c, float):
+                finite = finite and isfinite(c)
+            elif not isinstance(c, int) and isinstance(c, Fraction) and c.denominator == 1:
+                c = int(c)  # an integral Fraction collapses to int
+            cs.append(c)
         if len(cs) < 2:
             raise DomainError("a truncated series needs at least 2 coefficients (N >= 1)")
-        for c in cs:
-            if isinstance(c, float) and not isfinite(c):
-                raise DomainError("non-finite coefficient")
-        object.__setattr__(self, "coeffs", cs)
+        if not finite:
+            raise DomainError("non-finite coefficient")
+        object.__setattr__(self, "coeffs", tuple(cs))
         if self.certificate is not None:
             cert = self.certificate
-            got = fm_membership(cs, cert.seq, cert.rho)
+            got = fm_membership(self.coeffs, cert.seq, cert.rho)
             if got > cert.C * (1.0 + 1e-12):
                 raise DomainError(
                     f"certificate violated on stored prefix: needs C >= {got}, has {cert.C}"
@@ -67,7 +65,7 @@ class TruncatedSeries:
 
     @property
     def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
+        return all(not isinstance(c, float) and isinstance(c, (int, Fraction)) for c in self.coeffs)
 
 
 def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
@@ -180,7 +178,7 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     tau = rho_g * (1.0 + rho_f * C_g)
     C_star = rho_f * C_f * C_g / (1.0 + rho_f * C_g)
     ks = np.arange(1.0, n + 1)
-    log_bound = np.log(C_star) + ks * np.log(tau) + log_factorial(ks) + ML.log_M[1:]
+    log_bound = np.log(C_star) + ks * np.log(tau) + _log_factorials(n)[1:] + ML.log_M[1:]
     log_c = _log_abs(fg.coeffs[1:])
     slack = np.where(log_c == -np.inf, np.inf, log_bound - log_c).tolist()  # inf at (f o g)_k = 0
     violations = [k for k, sl in enumerate(slack, 1) if sl < -1e-9]

@@ -57,26 +57,35 @@ def _lgamma_plus_one(arr: np.ndarray) -> np.ndarray:
     return np.fromiter(vals, dtype=float, count=arr.size).reshape(arr.shape)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n: a read-only view of the lgamma table (grown here only, at least
+    doubling, to at most 2^20 entries), or from n = 2^20 on a new array."""
+    global _lgamma_table
+    if n >= _LGAMMA_CEIL:
+        return _lgamma_plus_one(np.arange(n + 1.0))
+    table = _lgamma_table
+    if n >= len(table):
+        grown = min(max(2 * len(table), n + 1), _LGAMMA_CEIL)
+        table = np.concatenate((table, _lgamma_plus_one(np.arange(len(table), grown, 1.0))))
+        table.flags.writeable = False
+        _lgamma_table = table
+    return table[: n + 1]
+
+
 def log_factorial(k) -> np.ndarray | float:
     """log k! via log-gamma; accepts scalars or arrays of any shape.
 
-    Arrays of non-negative integers below 2^20 index one table of lgamma(i + 1.0),
-    grown on demand (at least doubling, at most to 2^20 entries); other arrays take
-    math.lgamma per element, as the table fill does, so both give the same bits.
+    Arrays of non-negative integers below 2^20 index the table of lgamma(i + 1.0)
+    that ``_log_factorials`` grows; other arrays take math.lgamma per element, as
+    the table fill does, so both give the same bits.
     """
-    global _lgamma_table
     if np.isscalar(k):
         return lgamma(k + 1)
     arr = np.asarray(k, dtype=float)
     idx = arr.astype(np.intp) if arr.size and 0 <= arr.min() and arr.max() < _LGAMMA_CEIL else None
     if idx is None or not np.array_equal(idx, arr):
         return _lgamma_plus_one(arr)  # a negative integer raises ValueError here
-    table = _lgamma_table
-    n = len(table)
-    if idx.max() >= n:
-        grown = min(max(2 * n, int(idx.max()) + 1), _LGAMMA_CEIL)
-        table = _lgamma_table = np.concatenate((table, _lgamma_plus_one(np.arange(n, grown, 1.0))))
-    return table[idx.ravel()].reshape(arr.shape)
+    return _log_factorials(int(idx.max()))[idx.ravel()].reshape(arr.shape)
 
 
 class DomainError(ValueError):
@@ -192,8 +201,8 @@ class MembershipCertificate:
     seq: WeightSequence
 
     def __post_init__(self):
-        if not (self.C > 0 and self.rho > 0):
-            raise DomainError("certificate requires C > 0 and rho > 0")
+        if not (0 < self.C < np.inf and 0 < self.rho < np.inf):
+            raise DomainError("certificate requires finite C > 0 and rho > 0")
 
 
 # -- operations --------------------------------------------------------------
@@ -252,25 +261,17 @@ def _log_abs(coeffs: Sequence) -> np.ndarray:
 def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     """Smallest C with |f_k| <= C rho^k k! M_k on the stored prefix.
 
-    Exact coefficients past the float range are taken in log space; C may be inf.
+    Exact coefficients past the float range are taken in log space; C may be inf.  A zero
+    coefficient's -inf drops out of the max (log M is finite); all zeros give exp(-inf) = 0.
     """
-    if rho <= 0:
-        raise DomainError("rho must be positive")
+    if not 0 < rho < np.inf:
+        raise DomainError("rho must be positive and finite")
     log_f = _log_abs(coeffs)
     if log_f.size < 1:
         raise DomainError("need at least one coefficient")
     n = log_f.size - 1
     if W.k_min > 0 or W.k_max < n:
         raise DomainError("weight sequence does not cover the coefficient range")
-    ks = np.arange(n + 1, dtype=float)
-    nz = log_f != -np.inf
-    if not np.any(nz):
-        return 0.0
-    log_ratio = (
-        log_f[nz]
-        - ks[nz] * np.log(rho)
-        - log_factorial(ks[nz])
-        - W.log_M[: n + 1][nz]
-    )
+    log_ratio = log_f - np.arange(n + 1.0) * np.log(rho) - _log_factorials(n) - W.log_M[: n + 1]
     with np.errstate(over="ignore"):
         return float(np.exp(np.max(log_ratio)))

@@ -63,17 +63,41 @@ def segment_fill_envelope(y):
     return values, contact, hull[-1] - hull[-2] > 1
 
 
+@st.composite
+def hull_inputs(draw):
+    """Arrays with pops anywhere: random, integer, convex with spikes, near-parabolic, affine."""
+    n = draw(st.integers(3, 80))
+    kind = draw(st.sampled_from(["floats", "integers", "spikes", "parabola", "affine"]))
+    if kind == "floats":
+        return np.array(draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)))
+    if kind == "integers":
+        return np.array(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+    ks = np.arange(n, dtype=float)
+    if kind == "affine":
+        return draw(st.floats(-5, 5)) * ks + draw(st.floats(-5, 5))
+    y = draw(st.floats(1e-3, 1.0)) * (ks - draw(st.integers(0, n))) ** 2
+    at = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    bump = draw(st.lists(st.floats(-10, 10), min_size=len(at), max_size=len(at)))
+    y[at] += bump if kind == "spikes" else np.array(bump) * 1e-9
+    return y
+
+
 def _hull_fill_inputs():
     rng = np.random.default_rng(17)
     affine = np.concatenate(
         [np.arange(200) * -0.75, -150.0 + np.arange(300) * 0.1, -120.0 + np.arange(250) * 1.5]
     )
     q12 = make_family(FamilySpec("q_delta_n", delta=1.0, n=2), k_max=10_000)
+    weak = {}
+    for token in ("q18", "q18p", "q18pp", "gevrey:1", "q:1:3", "analytic"):
+        W = make_family(parse_family(token), k_max=10_000)
+        weak[f"{token} weak"] = W.log_M + log_factorial(W.ks.astype(float))
     return {
         "affine pieces": affine,
         "random walk": np.cumsum(rng.normal(size=5000)),
         "q:1:2 strong": q12.log_M,
         "q:1:2 weak": q12.log_M + log_factorial(q12.ks.astype(float)),
+        **weak,
     }
 
 
@@ -89,6 +113,14 @@ class TestLowerConvexEnvelope:
         assert env.contact_set == contact
         assert {type(i) for i in env.contact_set} == {int}
         assert env.is_edge_sensitive == edge
+
+    @given(y=hull_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_segment_fill_on_drawn_arrays(self, y):
+        env = lower_convex_envelope(y)
+        values, contact, edge = segment_fill_envelope(y)
+        assert np.array_equal(env.values, values)
+        assert env.contact_set == contact and env.is_edge_sensitive == edge
 
     def test_matches_brute_force_on_random_inputs(self):
         rng = np.random.default_rng(42)

@@ -441,6 +441,15 @@ class TestMultiply:
         assert out.certificate.C == pytest.approx(6.0)
         assert out.certificate.rho == pytest.approx(3.0)
 
+    def test_combined_constant_past_float_range_raises(self):
+        # C_f C_g M_0 = 1e400 would be an inf constant, whose composition bound is NaN
+        W = tabulate(lambda k: 0.0, 12, name="analytic")
+        f = TruncatedSeries((1, 1), certificate=MembershipCertificate(1e200, 1.0, W))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite C > 0 and rho > 0"):
+                multiply_series(f, f)
+
     def test_no_certificate_when_bases_differ(self):
         W1 = tabulate(lambda k: 0.0, 12, name="a")
         W2 = tabulate(lambda k: 0.1 * k, 12, name="b")

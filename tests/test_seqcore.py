@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -135,6 +137,25 @@ class TestMembership:
         with pytest.raises(DomainError):
             MembershipCertificate(C=-1.0, rho=1.0, seq=W)
 
+    @pytest.mark.parametrize(
+        "C, rho", [(1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
+                   (1.0, math.nan)])
+    def test_certificate_rejects_non_finite(self, C, rho):
+        W = gevrey(0.0, 5, "analytic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite C > 0 and rho > 0"):
+                MembershipCertificate(C=C, rho=rho, seq=W)
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [5, 0, 1]])
+    def test_membership_rejects_non_finite_rho(self, rho, coeffs):
+        W = gevrey(1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="rho must be positive and finite"):
+                fm_membership(coeffs, W, rho)
+
 
 class TestSerialization:
     def test_json_round_trip_bit_exact(self):
@@ -164,6 +185,18 @@ class TestSerialization:
 def log_factorial_oracle(k):
     # otypes lets it take an empty array, which the former code refused
     return np.vectorize(math.lgamma, otypes=[float])(np.asarray(k, dtype=float) + 1.0)
+
+
+def masked_fm_membership(coeffs, W, rho):
+    """fm_membership as it masked out the zero coefficients before the max."""
+    log_f = seqcore._log_abs(coeffs)
+    ks = np.arange(log_f.size, dtype=float)
+    nz = log_f != -np.inf
+    if not np.any(nz):
+        return 0.0
+    log_ratio = log_f[nz] - ks[nz] * np.log(rho) - log_factorial(ks[nz]) - W.log_M[: log_f.size][nz]
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.max(log_ratio)))
 
 
 def to_csv_oracle(W):
@@ -245,6 +278,51 @@ class TestLogFactorialTable:
         out = log_factorial(np.arange(10))
         out[:] = 0.0
         self.same(np.arange(10))
+
+
+    @pytest.mark.parametrize("ns", [(0, 1, 2, 3), (12, 13, 13, 5, 100, 199, 200, 201, 4000)])
+    def test_slices_across_growth(self, ns):
+        for n in ns:
+            got = seqcore._log_factorials(n)
+            assert got.shape == (n + 1,) and not got.flags.writeable
+            assert np.shares_memory(got, seqcore._lgamma_table)
+            assert np.array_equal(got, log_factorial(np.arange(n + 1.0)))
+            assert np.array_equal(got, log_factorial_oracle(np.arange(n + 1.0)))
+        assert len(seqcore._lgamma_table) < 2 * (max(ns) + 1)
+
+    def test_slices_past_the_ceiling(self):
+        for n in (2**20 - 1, 2**20, 2**20 + 3):
+            got = seqcore._log_factorials(n)
+            assert got.shape == (n + 1,)
+            assert np.shares_memory(got, seqcore._lgamma_table) == (n < 2**20)
+            assert np.array_equal(got, log_factorial(np.arange(n + 1.0)))
+        assert len(seqcore._lgamma_table) == 2**20
+        assert np.array_equal(got[-100:], log_factorial_oracle(np.arange(n - 99.0, n + 1.0)))
+
+
+class TestMembershipAgainstMaskedOracle:
+    W = WeightSequence("w", 0, 0.3 * np.arange(14.0) * np.log(np.arange(14.0) + 1.0))
+    COEFF = st.one_of(
+        st.sampled_from([0, 0.0, -0.0, Fraction(0)]),
+        st.integers(-(10**6), 10**6),
+        st.integers(10**300, 10**400),  # past the float range from 1.8e308
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.fractions(-5, 5, max_denominator=12),
+        st.builds(Fraction, st.integers(10**330, 10**400), st.integers(1, 10**20)),
+    )
+
+    @given(cs=st.lists(COEFF, min_size=1, max_size=14), rho=st.floats(1e-3, 1e3),
+           zeros=st.sets(st.integers(0, 13)))
+    @settings(max_examples=300, deadline=None)
+    def test_repr_equal(self, cs, rho, zeros):
+        cs = [0 if k in zeros else c for k, c in enumerate(cs)]  # leading and interior zeros
+        assert repr(fm_membership(cs, self.W, rho)) == repr(masked_fm_membership(cs, self.W, rho))
+
+    @pytest.mark.parametrize("cs", [[0], [0.0] * 14, [0, Fraction(0), -0.0], [0, 0, 3], [2, 0, 0],
+                                    [0, 10**400, 0, 1.5], [1e308, 0.0, -1e308]])
+    @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e3])
+    def test_repr_equal_at_zeros_and_extremes(self, cs, rho):
+        assert repr(fm_membership(cs, self.W, rho)) == repr(masked_fm_membership(cs, self.W, rho))
 
 
 class TestCsvAgainstOracle:
