@@ -131,10 +131,8 @@ def check_scale(scales: DerivedScales) -> np.ndarray:
     """log m-check from log m by the recursion mck_{k+1} = mck_k (m_{k+1}-1)/m_k.
 
     Requires m_1 > 1; the recursion starts from mck_1 = m_1 - 1.  Returns
-    log mck_k for k >= k_start of the scales (which must be 1).
+    log mck_k for k = 1..n, as ``scales.log_m`` holds log m_k.
     """
-    if scales.k_start != 1:
-        raise DomainError("check sequence needs scales tabulated from k = 1")
     log_m = scales.log_m
     if not log_m[0] > 0.0:
         raise DomainError("check sequence requires m_1 > 1")
@@ -150,8 +148,6 @@ def check_scale(scales: DerivedScales) -> np.ndarray:
 
 def check_sequence(W: WeightSequence) -> WeightSequence:
     """The check sequence: log Mck_k = k log mck_k - log k!, Mck_0 = 1."""
-    if W.k_min != 0:
-        raise DomainError("check sequence needs a tabulation starting at k = 0")
     log_Mck = _log_M_from_scale(check_scale(DerivedScales.from_weight_sequence(W)))
     return WeightSequence(name=f"check({W.name})", k_min=0, log_M=log_Mck)
 
@@ -188,8 +184,6 @@ def uncheck_scale(log_mck: np.ndarray) -> np.ndarray:
 
 def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
     """Inverse of check_sequence: recovers M from M-check (all mck_k > 0)."""
-    if Wc.k_min != 0:
-        raise DomainError("uncheck needs a tabulation starting at k = 0")
     log_M = _log_M_from_scale(uncheck_scale(DerivedScales.from_weight_sequence(Wc).log_m))
     name = Wc.name[6:-1] if Wc.name.startswith("check(") and Wc.name.endswith(")") else f"uncheck({Wc.name})"
     return WeightSequence(name=name, k_min=0, log_M=log_M)
@@ -212,8 +206,6 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
         raise DomainError("k_max_out must be at least 2")
     if k_max_out > MAX_COMPOSE_K:
         raise DomainError(f"k_max_out capped at {MAX_COMPOSE_K} (O(k^3) dynamic program)")
-    if M.k_min != 0 or L.k_min != 0:
-        raise DomainError("compose needs tabulations starting at k = 0")
     if M.k_max < k_max_out or L.k_max < k_max_out:
         raise DomainError("both sequences must be tabulated through k_max_out")
     n = k_max_out

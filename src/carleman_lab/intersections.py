@@ -116,8 +116,6 @@ def escape_log_coefficients(
     elsewhere, where q is the scale of Q and qck its check scale.  Returned
     as an array indexed by k = 0..k_max of Q (entry 0 is 0).
     """
-    if Q.k_min != 0:
-        raise DomainError("witness construction needs a tabulation from k = 0")
     if not (isfinite(factor) and factor > 0):
         raise DomainError(f"escape factor must be finite and positive, got {factor}")
     scales = DerivedScales.from_weight_sequence(Q)
@@ -202,8 +200,6 @@ class _Schedule(NamedTuple):
 
 def _schedule(Q: WeightSequence, f) -> _Schedule:
     """The schedule of witness f over Q, or a DomainError when f does not separably escape."""
-    if Q.k_min != 0:
-        raise DomainError("separating constructions need a tabulation from k = 0")
     scales = DerivedScales.from_weight_sequence(Q)
     log_qck = envelope.check_scale(scales)
     log_g = _witness_log_g(f, Q.k_max)
@@ -330,8 +326,6 @@ def separating_majorant_weak(Q: WeightSequence, f) -> MajorantTrace:
     l_k = beta_j qck_k blockwise, L_k = l_k^k / k!, then the C^k rescale and
     a weak log-convex minorant repair.
     """
-    if Q.k_min != 0:
-        raise DomainError("separating constructions need a tabulation from k = 0")
     _require_weakly_log_convex(Q)
     log_qck = envelope.check_scale(DerivedScales.from_weight_sequence(Q))
     pre_rescaled = bool(np.any(np.diff(log_qck) < 0.0))
@@ -363,8 +357,6 @@ def min_combine(
 ) -> WeightSequence:
     """Greatest weakly log-convex sequence below min(L1, L2), still above Q."""
     k_hi = min(L1.k_max, L2.k_max, Q.k_max)
-    if L1.k_min != 0 or L2.k_min != 0 or Q.k_min != 0:
-        raise DomainError("min_combine needs tabulations starting at k = 0")
     for L in (L1, L2):
         _require_dominates(L.log_M[: k_hi + 1], Q, f"{L.name!r} does not dominate", 1e-12)
         _require_weakly_log_convex(L)
@@ -387,8 +379,6 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     log(k! L_k) has every second difference >= 0 exactly; the weak
     log-convexity check allows an eps, and inside it a row search runs.
     """
-    if Q.k_min != 0 or L.k_min != 0:
-        raise DomainError("lprime needs tabulations starting at k = 0")
     mg = growth_diagnostic(Q, "moderate-growth")
     if not mg.holds:
         raise DomainError(

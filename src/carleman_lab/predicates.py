@@ -9,7 +9,7 @@ are surfaced in the emitted reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,7 +87,7 @@ def is_log_convex(W: WeightSequence, weak: bool = False, eps: float = CONVEXITY_
     margin = float(np.min(slack))
     if margin >= -eps:
         return Verdict("holds", margin=margin)
-    witness = int(W.k_min + 1 + np.argmax(slack < -eps))
+    witness = int(1 + np.argmax(slack < -eps))
     return Verdict("fails", witness_k=witness, margin=margin)
 
 
@@ -135,8 +135,6 @@ def growth_diagnostic(
     inconclusive otherwise; a finite prefix can never refute sup-finiteness,
     so the outcome is never "fails".
     """
-    if W.k_min != 0:
-        raise DomainError("growth diagnostics need tabulations starting at k = 0")
     logM = W.log_M
     n = W.k_max
     if mode == "derivation-closed":
@@ -225,8 +223,6 @@ def _classify(log_summand: np.ndarray, ks: np.ndarray) -> tuple[str, float, np.n
 
 def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     """Evaluate the four quasianalyticity criterion sums on the prefix."""
-    if W.k_min != 0:
-        raise DomainError("quasianalyticity diagnostics need tabulations from k = 0")
     scales = DerivedScales.from_weight_sequence(W)
     ks = np.arange(1, W.k_max + 1, dtype=float)
 
@@ -271,12 +267,9 @@ def inclusion_diagnostic(W1: WeightSequence, W2: WeightSequence) -> Verdict:
     s_k is still rising at the edge.  The margin reports log rho = sup s_k.
     A finite prefix cannot refute existence, so the verdict never fails.
     """
-    k_lo = max(W1.k_min, W2.k_min)
     k_hi = min(W1.k_max, W2.k_max)
-    if k_hi < k_lo + 2:
-        raise DomainError("tabulated ranges barely overlap")
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    s = (W1.slice(k_lo, k_hi) - W2.slice(k_lo, k_hi)) / (ks + 1.0)
+    ks = np.arange(k_hi + 1, dtype=float)
+    s = (W1.log_M[: k_hi + 1] - W2.log_M[: k_hi + 1]) / (ks + 1.0)
     i_max = int(np.argmax(s))
     log_rho = float(s[i_max])
     n = len(s)

@@ -7,7 +7,7 @@ quantities like k! M_k never overflow even for k in the tens of thousands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from math import lgamma, log
 from typing import Callable, Iterable, Sequence
@@ -94,7 +94,8 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class WeightSequence:
-    """Finite log-space tabulation of a positive sequence M_{k_min..k_max}."""
+    """Finite log-space tabulation of a positive sequence M_0..M_{k_max}, always from k = 0;
+    ``k_min`` is kept for compatibility and must be 0."""
 
     name: str
     k_min: int
@@ -105,11 +106,10 @@ class WeightSequence:
         arr = np.asarray(self.log_M, dtype=float)
         if arr.ndim != 1 or arr.size < 3:
             raise DomainError("a weight sequence needs at least 3 tabulated entries")
+        if self.k_min != 0:
+            raise DomainError("a weight sequence is tabulated from k = 0")
         if not np.all(np.isfinite(arr)):
-            bad = int(self.k_min + np.argmax(~np.isfinite(arr)))
-            raise DomainError(f"non-finite log M at k={bad}")
-        if self.k_min < 0:
-            raise DomainError("k_min must be >= 0")
+            raise DomainError(f"non-finite log M at k={int(np.argmax(~np.isfinite(arr)))}")
         unknown = set(self.claims) - set(KNOWN_CLAIMS)
         if unknown:
             raise DomainError(f"unknown claims: {sorted(unknown)}")
@@ -122,17 +122,11 @@ class WeightSequence:
 
     @property
     def k_max(self) -> int:
-        return self.k_min + len(self.log_M) - 1
+        return len(self.log_M) - 1
 
     @property
     def ks(self) -> np.ndarray:
-        return np.arange(self.k_min, self.k_max + 1)
-
-    def slice(self, k_lo: int, k_hi: int) -> np.ndarray:
-        """log M_k for k in [k_lo, k_hi], inclusive."""
-        if k_lo < self.k_min or k_hi > self.k_max:
-            raise DomainError("slice outside tabulated range")
-        return self.log_M[k_lo - self.k_min : k_hi - self.k_min + 1]
+        return np.arange(len(self.log_M))
 
     def with_name(self, name: str) -> "WeightSequence":
         return WeightSequence(name, self.k_min, self.log_M, self.claims)
@@ -142,7 +136,7 @@ class WeightSequence:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "k_min": int(self.k_min),
+            "k_min": 0,
             "k_max": int(self.k_max),
             "log_M": self.log_M.tolist(),
             "claims": sorted(self.claims),
@@ -159,37 +153,28 @@ class WeightSequence:
 
     def to_csv(self) -> str:
         """CSV with header k,log_M,log_m; log_m is blank for k = 0."""
-        scales = DerivedScales.from_weight_sequence(self)
-        skip = scales.k_start - self.k_min  # 1 when the tabulation starts at k = 0
-        ks, log_M = self.ks.tolist(), self.log_M.tolist()
-        rows = chain.from_iterable(zip(ks[skip:], log_M[skip:], scales.log_m.tolist()))
-        head = "k,log_M,log_m\n" + ("0,%.17g,\n" % log_M[0] if skip else "")
-        return head + ("%d,%.17g,%.17g\n" * (len(ks) - skip)) % tuple(rows)
+        log_m = DerivedScales.from_weight_sequence(self).log_m.tolist()
+        log_M = self.log_M.tolist()
+        rows = chain.from_iterable(zip(range(1, len(log_M)), log_M[1:], log_m))
+        head = "k,log_M,log_m\n0,%.17g,\n" % log_M[0]
+        return head + ("%d,%.17g,%.17g\n" * len(log_m)) % tuple(rows)
 
 
 @dataclass(frozen=True)
 class DerivedScales:
-    """The companion scales m_k = (k! M_k)^{1/k} and M_k^{1/k}, in log-space."""
+    """The companion scale m_k = (k! M_k)^{1/k} in log-space; ``log_m[i]`` is at k = i + 1."""
 
-    k_start: int
     log_m: np.ndarray
-    log_root: np.ndarray
 
     def __post_init__(self):
-        for nm in ("log_m", "log_root"):
-            arr = np.asarray(getattr(self, nm), dtype=float)
-            arr = arr.copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, nm, arr)
+        arr = np.asarray(self.log_m, dtype=float).copy()
+        arr.flags.writeable = False
+        object.__setattr__(self, "log_m", arr)
 
     @classmethod
     def from_weight_sequence(cls, W: WeightSequence) -> "DerivedScales":
-        k_start = max(1, W.k_min)
-        ks = np.arange(k_start, W.k_max + 1, dtype=float)
-        log_M = W.slice(k_start, W.k_max)
-        log_m = (log_factorial(ks) + log_M) / ks
-        log_root = log_M / ks
-        return cls(k_start=k_start, log_m=log_m, log_root=log_root)
+        ks = np.arange(1, W.k_max + 1, dtype=float)
+        return cls(log_m=(log_factorial(ks) + W.log_M[1:]) / ks)
 
 
 @dataclass(frozen=True)
@@ -201,8 +186,14 @@ class MembershipCertificate:
     seq: WeightSequence
 
     def __post_init__(self):
-        if not (0 < self.C < np.inf and 0 < self.rho < np.inf):
+        try:  # an int or Fraction past the float range is rejected here, not in a later product
+            C, rho = float(self.C), float(self.rho)
+        except (OverflowError, TypeError, ValueError):
+            C = rho = np.nan
+        if not (0 < C < np.inf and 0 < rho < np.inf):
             raise DomainError("certificate requires finite C > 0 and rho > 0")
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "rho", rho)
 
 
 # -- operations --------------------------------------------------------------
@@ -212,24 +203,23 @@ def tabulate(
     spec: Callable[[int], float] | Sequence[float],
     k_max: int,
     *,
-    k_min: int = 0,
     name: str = "custom",
     claims: Iterable[str] = (),
 ) -> WeightSequence:
-    """Tabulate log M_k for k in [k_min, k_max].
+    """Tabulate log M_k for k in [0, k_max].
 
     ``spec`` is either a callable returning log M_k for an integer k, or an
-    explicit list of log values starting at k_min.
+    explicit list of log values starting at k = 0.
     """
-    if k_max < k_min + 2:
-        raise DomainError("k_max must be at least k_min + 2")
+    if k_max < 2:
+        raise DomainError("k_max must be at least 2")
     if callable(spec):
-        vals = np.array([float(spec(k)) for k in range(k_min, k_max + 1)])
+        vals = np.array([float(spec(k)) for k in range(k_max + 1)])
     else:
-        vals = np.asarray(list(spec), dtype=float)[: k_max - k_min + 1]
-        if len(vals) != k_max - k_min + 1:
+        vals = np.asarray(list(spec), dtype=float)[: k_max + 1]
+        if len(vals) != k_max + 1:
             raise DomainError("explicit values shorter than requested range")
-    return WeightSequence(name=name, k_min=k_min, log_M=vals, claims=frozenset(claims))
+    return WeightSequence(name=name, k_min=0, log_M=vals, claims=frozenset(claims))
 
 
 def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
@@ -239,7 +229,7 @@ def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
     ks = W.ks
     log_M = np.log(C) + ks * np.log(rho) + W.log_M
     claims = frozenset(W.claims) & _RESCALE_STABLE_CLAIMS
-    return WeightSequence(name=W.name, k_min=W.k_min, log_M=log_M, claims=claims)
+    return WeightSequence(name=W.name, k_min=0, log_M=log_M, claims=claims)
 
 
 def _log_abs_one(c) -> float:
@@ -270,7 +260,7 @@ def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     if log_f.size < 1:
         raise DomainError("need at least one coefficient")
     n = log_f.size - 1
-    if W.k_min > 0 or W.k_max < n:
+    if W.k_max < n:
         raise DomainError("weight sequence does not cover the coefficient range")
     log_ratio = log_f - np.arange(n + 1.0) * np.log(rho) - _log_factorials(n) - W.log_M[: n + 1]
     with np.errstate(over="ignore"):

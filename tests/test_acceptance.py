@@ -344,7 +344,7 @@ def test_criterion_09_iterated_log_families():
     suite_ok = True
     for delta, n in ((1.0, 1), (0.5, 2), (1.0, 2), (1.0, 3)):
         W = make_family(FamilySpec("q_delta_n", delta=delta, n=n), k_max=10_000)
-        interior = WeightSequence("i", 1, W.log_M[1:])
+        interior = WeightSequence("i", 0, W.log_M[1:])
         suite_ok = suite_ok and is_log_convex(interior).holds
         suite_ok = suite_ok and quasianalytic_diagnostic(W).classification == "divergent-trend"
         suite_ok = suite_ok and W.log_M[1] > 0.0

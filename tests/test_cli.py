@@ -443,6 +443,6 @@ class TestWritersAgainstOracles:
 
     def test_plot_past_zero(self, tmp_path):
         rng = np.random.default_rng(11)
-        W = WeightSequence("offset", 9, rng.normal(size=10_001) * 1e5)
+        W = WeightSequence("random", 0, rng.normal(size=10_001) * 1e5)
         cli._write_plot(str(tmp_path / "plot.txt"), W)
         assert (tmp_path / "plot.txt").read_text() == write_plot_oracle(W)

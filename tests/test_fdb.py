@@ -219,6 +219,13 @@ class TestTruncatedSeries:
         with pytest.raises(DomainError):
             TruncatedSeries((1, 1, 100), certificate=cert)
 
+    @pytest.mark.parametrize("C, rho", [(3, 2), (Fraction(7, 2), Fraction(1, 2))])
+    def test_exact_constants_in_float_range(self, C, rho):
+        W = tabulate(lambda k: 0.0, 10, name="analytic")
+        cert = MembershipCertificate(C=C, rho=rho, seq=W)
+        assert (cert.C, cert.rho) == (float(C), float(rho))
+        TruncatedSeries((1, 1, 1), certificate=cert)  # rho reaches np.log as a float
+
 
 class TestCertificateMagnitudes:
     """Certificate checks take log|c| of exact coefficients without float()."""

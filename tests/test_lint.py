@@ -1,0 +1,51 @@
+"""Static checks on the package source with the standard library's ast module.
+
+Every top-level import of a module in src/carleman_lab is read somewhere in it
+(or re-exported through ``__all__``), and every name in ``__all__`` is bound.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "carleman_lab"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _all_names(tree: ast.Module) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) for each name bound by a top-level import, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(_all_names(tree))
+    unused = [f"{path.name}:{line} {name}" for name, line in _imports(tree) if name not in used]
+    assert not unused, f"unused imports: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_resolve(path):
+    name = "carleman_lab" if path.stem == "__init__" else f"carleman_lab.{path.stem}"
+    module = importlib.import_module(name)
+    exported = _all_names(ast.parse(path.read_text(), filename=str(path)))
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names nothing bound: {missing}"

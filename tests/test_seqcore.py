@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from carleman_lab import seqcore
 from carleman_lab.cli import dumps
-from carleman_lab.families import kappa, make_family, parse_family
+from carleman_lab.families import builtin_sequences, kappa, make_family, parse_family
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -32,7 +32,6 @@ class TestWeightSequence:
         W = tabulate(lambda k: float(k), 10, name="lin")
         assert W.k_max == 10
         assert list(W.ks) == list(range(11))
-        np.testing.assert_allclose(W.slice(2, 4), [2.0, 3.0, 4.0])
 
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
@@ -55,26 +54,22 @@ class TestWeightSequence:
         with pytest.raises(ValueError):
             W.log_M[0] = 7.0
 
-    def test_out_of_range_access(self):
-        W = tabulate(lambda k: float(k), 5, k_min=2)
-        with pytest.raises(DomainError):
-            W.slice(0, 4)
-        with pytest.raises(DomainError):
-            W.slice(2, 6)
+    @pytest.mark.parametrize("k_min", [-1, 1, 2])
+    def test_out_of_range_access(self, k_min):
+        with pytest.raises(DomainError, match="tabulated from k = 0"):
+            WeightSequence("offset", k_min, np.zeros(5))
 
 
 class TestDerivedScales:
     def test_matches_direct_formula(self):
         W = gevrey(1.0, 40)
         sc = DerivedScales.from_weight_sequence(W)
-        assert sc.k_start == 1
         for k in (1, 5, 17, 40):
             expect = (2 * math.lgamma(k + 1)) / k
             assert sc.log_m[k - 1] == pytest.approx(expect, rel=1e-14)
-            assert sc.log_root[k - 1] == pytest.approx(math.lgamma(k + 1) / k, rel=1e-14)
 
     def test_skips_k_zero(self):
-        W = tabulate(lambda k: 0.0, 6, k_min=0)
+        W = tabulate(lambda k: 0.0, 6)
         sc = DerivedScales.from_weight_sequence(W)
         assert len(sc.log_m) == 6
 
@@ -139,7 +134,8 @@ class TestMembership:
 
     @pytest.mark.parametrize(
         "C, rho", [(1.0, math.inf), (math.inf, 1.0), (math.inf, math.inf), (math.nan, 1.0),
-                   (1.0, math.nan)])
+                   (1.0, math.nan), (10**400, 1.0), (1.0, 10**400), (Fraction(10**400, 3), 1.0),
+                   (1.0, Fraction(10**400, 3))])
     def test_certificate_rejects_non_finite(self, C, rho):
         W = gevrey(0.0, 5, "analytic")
         with warnings.catch_warnings():
@@ -165,6 +161,20 @@ class TestSerialization:
         assert V.name == W.name
         assert V.claims == W.claims
         np.testing.assert_array_equal(V.log_M, W.log_M)
+
+    def test_json_round_trip_builtins(self):
+        for token, W in builtin_sequences(2000).items():
+            d = W.to_dict()
+            assert d["k_min"] == 0, token
+            V = WeightSequence.from_dict(json.loads(dumps(d)))
+            assert V.log_M.tobytes() == W.log_M.tobytes(), token
+            assert (V.name, V.claims) == (W.name, W.claims), token
+
+    def test_from_dict_rejects_offset_tabulation(self):
+        d = tabulate(lambda k: float(k), 5).to_dict()
+        d["k_min"] = 3
+        with pytest.raises(DomainError, match="tabulated from k = 0"):
+            WeightSequence.from_dict(d)
 
     def test_json_keys_sorted(self):
         W = tabulate(lambda k: float(k), 4, name="s")
@@ -203,8 +213,8 @@ def to_csv_oracle(W):
     scales = DerivedScales.from_weight_sequence(W)
     lines = ["k,log_M,log_m"]
     for i, k in enumerate(W.ks):
-        if k >= scales.k_start:
-            lm = f"{scales.log_m[k - scales.k_start]:.17g}"
+        if k >= 1:
+            lm = f"{scales.log_m[k - 1]:.17g}"
         else:
             lm = ""
         lines.append(f"{k},{W.log_M[i]:.17g},{lm}")
@@ -332,15 +342,15 @@ class TestCsvAgainstOracle:
         assert W.k_min == 0
         assert W.to_csv() == to_csv_oracle(W)
 
-    @pytest.mark.parametrize("k_min", [0, 1, 2, 37])
-    def test_random_values(self, k_min):
-        rng = np.random.default_rng(k_min)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 37])
+    def test_random_values(self, seed):
+        rng = np.random.default_rng(seed)
         log_M = rng.normal(size=10_001) * 10.0 ** rng.integers(-30, 30, size=10_001)
-        W = WeightSequence("offset", k_min, log_M)
+        W = WeightSequence("random", 0, log_M)
         assert W.to_csv() == to_csv_oracle(W)
 
     def test_short_sequences(self):
         for W in (WeightSequence("z", 0, np.array([-0.0, 0.0, 5e-324])),
                   WeightSequence("t", 0, np.array([0.1 + 0.2, 1 / 3, -2 / 3])),  # 17 digits
-                  WeightSequence("z", 4, np.array([-0.0, 1e-310, 1e300]))):
+                  WeightSequence("z", 0, np.array([-0.0, 1e-310, 1e300]))):
             assert W.to_csv() == to_csv_oracle(W)
