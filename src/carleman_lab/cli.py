@@ -112,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def sequence(name, help):  # a sequence-valued command: JSON or CSV, and plot data
         sp = sub.add_parser(name, help=help)
         common(sp)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--format", choices=("json", "csv"), default=None)  # None: JSON
         out(sp)
         return sp
 
@@ -180,11 +180,8 @@ def _family(token: str, kmax: int) -> WeightSequence:
 
 
 def _run_predicate(predicate: str, W: WeightSequence) -> tuple[dict, int]:
-    if predicate == "log-convex":
-        v = predicates.is_log_convex(W)
-        return v.to_report(predicate), _VERDICT_EXIT[v.outcome]
-    if predicate == "weakly-log-convex":
-        v = predicates.is_log_convex(W, weak=True)
+    if predicate in ("log-convex", "weakly-log-convex"):
+        v = predicates.is_log_convex(W, weak=predicate == "weakly-log-convex")
         return v.to_report(predicate), _VERDICT_EXIT[v.outcome]
     if predicate in ("derivation-closed", "moderate-growth"):
         v = predicates.growth_diagnostic(W, predicate)
@@ -319,6 +316,8 @@ def run(argv: list[str]) -> int:
     try:
         if tail is not None and args.command not in ("seq", "checkseq", "minorant", "compose"):
             raise DomainError("--then follows only seq, checkseq, minorant or compose")
+        if tail is not None and (args.format is not None or args.out is not None):
+            raise DomainError("--format and --out do not apply to a --then pipeline")
         kmax = args.kmax if getattr(args, "kmax", None) is not None else _default_kmax()
         if args.command == "families":
             return _cmd_families(args)
@@ -341,9 +340,7 @@ def run(argv: list[str]) -> int:
                 raise DomainError("--then only chains into check")
             if then_args.family is not None or then_args.kmax is not None:
                 raise DomainError("--family and --kmax must come before --then")
-            report, code = _run_predicate(then_args.predicate, W)
-            _emit(dumps(report))
-            return code
+            return _cmd_check(then_args, kmax, piped=W)
         _emit_sequence(W, args)
         return EXIT_OK
     except DomainError as e:

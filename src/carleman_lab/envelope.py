@@ -55,13 +55,6 @@ class EnvelopeResult:
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "contact_set", tuple(np.asarray(self.contact_set).tolist()))
 
-    def to_dict(self) -> dict:
-        return {
-            "values": self.values.tolist(),
-            "contact_set": list(self.contact_set),
-            "edge_sensitive": bool(self.is_edge_sensitive),
-        }
-
 
 def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     """Lower convex envelope of the points (i, y_i), by a monotone-chain sweep.

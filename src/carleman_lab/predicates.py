@@ -3,8 +3,8 @@
 Asymptotic statements (sup finiteness, series divergence) cannot be decided
 from a finite tabulation, so every predicate returns a three-valued Verdict:
 holds / fails-with-witness / inconclusive-with-trend.  The classifier
-thresholds are heuristics of this module, not of the underlying theory, and
-are surfaced in the emitted reports.
+thresholds are heuristics of this module, not of the underlying theory;
+DECISIONS.md section 3 lists each with its value and meaning.
 """
 
 from __future__ import annotations
@@ -71,34 +71,29 @@ class Verdict:
         }
 
 
-def is_log_convex(W: WeightSequence, weak: bool = False, eps: float = CONVEXITY_EPS) -> Verdict:
+def is_log_convex(W: WeightSequence, weak: bool = False) -> Verdict:
     """Three-term convexity of log M_k (strong) or log(k! M_k) (weak).
 
-    Holds iff y_{k-1} + y_{k+1} - 2 y_k >= -eps at every interior index;
+    Holds iff y_{k-1} + y_{k+1} - 2 y_k >= -CONVEXITY_EPS (relative) at every interior index;
     a failure reports the first violating interior k.
     """
     y = W.log_M.copy()
     if weak:
         y = y + log_factorial(W.ks.astype(float))
     d2 = y[:-2] + y[2:] - 2.0 * y[1:-1]
-    # eps is relative in log-space: scale by the magnitude of the entries
+    # CONVEXITY_EPS is relative in log-space: scale by the magnitude of the entries
     scale = np.maximum(1.0, np.maximum(np.abs(y[:-2]), np.maximum(np.abs(y[1:-1]), np.abs(y[2:]))))
     slack = d2 / scale
     margin = float(np.min(slack))
-    if margin >= -eps:
+    if margin >= -CONVEXITY_EPS:
         return Verdict("holds", margin=margin)
-    witness = int(1 + np.argmax(slack < -eps))
+    witness = int(1 + np.argmax(slack < -CONVEXITY_EPS))
     return Verdict("fails", witness_k=witness, margin=margin)
 
 
 def _last_decade_start(n: int) -> int:
     """Index opening the last decade (factor 10) of an n-point trace."""
     return max(0, n - 1 - 9 * (n - 1) // 10) if n > 1 else 0
-
-
-def _decade_increase(trace: np.ndarray) -> float:
-    i = _last_decade_start(len(trace))
-    return float(trace[-1] - trace[i])
 
 
 def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
@@ -119,9 +114,7 @@ def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
     return splits
 
 
-def growth_diagnostic(
-    W: WeightSequence, mode: str, eps: float = PLATEAU_EPS
-) -> Verdict:
+def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
     """Running prefix supremum of the derivation-closed / moderate-growth statistic.
 
     derivation-closed: sup_k (log M_{k+1} - log M_k) / k;
@@ -148,9 +141,8 @@ def growth_diagnostic(
     else:
         raise DomainError(f"unknown growth mode {mode!r}")
     run_sup = np.maximum.accumulate(stat)
-    inc = _decade_increase(run_sup)
     margin = float(run_sup[-1])
-    if inc < eps:
+    if run_sup[-1] - run_sup[_last_decade_start(len(run_sup))] < PLATEAU_EPS:
         return Verdict("holds", margin=margin, statistic_trace=run_sup)
     return Verdict("inconclusive", margin=margin, statistic_trace=run_sup)
 
@@ -184,75 +176,47 @@ class QuasiDiagnostic:
         }
 
 
-def _fit_tail_slope(log_summand: np.ndarray, ks: np.ndarray) -> float:
-    """Least-squares slope of log summand vs log k over the tail window."""
-    n = len(log_summand)
-    i0 = int(n * (1.0 - SLOPE_WINDOW_FRAC))
-    i0 = min(max(i0, 0), n - 2)
-    x = np.log(ks[i0:])
-    y = log_summand[i0:]
-    xm, ym = x.mean(), y.mean()
-    denom = np.sum((x - xm) ** 2)
-    if denom == 0.0:
-        return 0.0
-    return float(np.sum((x - xm) * (y - ym)) / denom)
-
-
-def _classify(log_summand: np.ndarray, ks: np.ndarray) -> tuple[str, float, np.ndarray]:
-    """Trend of sum exp(log_summand); all accumulation happens in log-space.
-
-    The summands of the quasianalyticity criteria underflow f64 for strongly
-    shifted families (terms like exp(-1e7/k)), so partial sums are carried
-    as log S_N via a running logaddexp.
-    """
-    log_S = np.logaddexp.accumulate(log_summand)
-    slope = _fit_tail_slope(log_summand, ks)
-    i = _last_decade_start(len(log_S))
-    # (S_N - S_i) / S_N, computed without leaving log-space
-    rel_inc = -np.expm1(log_S[i] - log_S[-1])
-    still_increasing = rel_inc > SUM_STALL_REL
-    near_boundary = slope >= -1.0 - SLOPE_SLACK
-    if near_boundary and still_increasing:
-        cls = "divergent-trend"
-    elif (not still_increasing) or slope < -1.0 - SLOPE_SLACK:
-        cls = "convergent-trend"
-    else:
-        cls = "inconclusive"
-    return cls, slope, np.exp(log_S)
-
-
 def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
-    """Evaluate the four quasianalyticity criterion sums on the prefix."""
-    scales = DerivedScales.from_weight_sequence(W)
-    ks = np.arange(1, W.k_max + 1, dtype=float)
+    """Evaluate the four quasianalyticity criterion sums on the prefix in one pass.
 
-    # (i) raw scale 1/m_k
-    s_raw = -scales.log_m
-    # (ii) increasing minorant 1/m^(b,i)_k
+    A criterion is ``divergent-trend`` when its partial sums still rise over the
+    last decade (by more than SUM_STALL_REL of the total) and the least-squares
+    slope of log term vs log k over the last SLOPE_WINDOW_FRAC of the indices is
+    >= -1 - SLOPE_SLACK, ``inconclusive`` when they rise and the slope is NaN,
+    and ``convergent-trend`` otherwise.  The summands underflow f64 for strongly
+    shifted families (terms like exp(-1e7/k)), so the partial sums are
+    accumulated as log S_N by a running logaddexp.
+    """
+    scales = DerivedScales.from_weight_sequence(W)
+    n = W.k_max
+    ks = np.arange(1, n + 1, dtype=float)
     log_minc, edge_inc = envelope.increasing_minorant(scales)
-    s_inc = -log_minc
-    # (iii) log-convex minorant of k! M_k: (1/M^blc_k)^{1/k}
     env = envelope.log_convex_minorant(W, weak_basis=True)
     log_blc = env.values  # log of M^(b,lc) in the k! M_k scale, index 0..k_max
-    s_lc = -log_blc[1:] / ks
-    # (iv) ratio M^blc_k / M^blc_{k+1}, k = 0..k_max-1
-    s_ratio = log_blc[:-1] - log_blc[1:]
+    # log terms: (i) 1/m_k, (ii) 1/m^(b,i)_k, (iii) (1/M^blc_k)^{1/k}, each at k = 1..k_max,
+    # and (iv) M^blc_k / M^blc_{k+1} at k = 0..k_max-1, fitted against the same k = 1..k_max
+    terms = (-scales.log_m, -log_minc, -log_blc[1:] / ks, log_blc[:-1] - log_blc[1:])
+    log_S = [np.logaddexp.accumulate(t) for t in terms]
 
-    results = []
-    for summand, kk in (
-        (s_raw, ks),
-        (s_inc, ks),
-        (s_lc, ks),
-        (s_ratio, np.arange(1, W.k_max + 1, dtype=float)),
-    ):
-        results.append(_classify(summand, kk))
-    classes = tuple(r[0] for r in results)
-    slopes = tuple(r[1] for r in results)
-    sums = tuple(r[2] for r in results)
+    i0 = min(int(n * (1.0 - SLOPE_WINDOW_FRAC)), n - 2)
+    x = np.log(ks[i0:])
+    x = x - x.mean()
+    tails = np.stack([t[i0:] for t in terms])
+    slopes = np.sum(x * (tails - tails.mean(axis=1, keepdims=True)), axis=1) / np.sum(x**2)
+
+    i = _last_decade_start(n)
+    rising = [-np.expm1(s[i] - s[-1]) > SUM_STALL_REL for s in log_S]  # (S_N - S_i) / S_N
+    bound = -1.0 - SLOPE_SLACK
+    classes = tuple(
+        "convergent-trend" if not r or slope < bound
+        else "divergent-trend" if slope >= bound
+        else "inconclusive"  # a NaN slope: the fit overflowed on log terms near 1e308
+        for r, slope in zip(rising, slopes)
+    )
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
     return QuasiDiagnostic(
-        partial_sums=sums,
-        term_slope=slopes,
+        partial_sums=tuple(np.exp(s) for s in log_S),
+        term_slope=tuple(slopes.tolist()),
         per_criterion=classes,
         classification=agreed,
         edge_sensitive=bool(edge_inc or env.is_edge_sensitive),

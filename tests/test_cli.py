@@ -126,9 +126,12 @@ class TestFormats:
         ["families", "--out", "plot.txt"],
         ["seq", "--family", "q18", "--kmax", "50", "--then", "check", "log-convex",
          "--format", "csv"],
+        ["seq", "--family", "q18", "--kmax", "50", "--format", "csv", "--out", "plot.txt",
+         "--then", "check", "log-convex"],
     ])
     def test_flag_the_command_does_not_take_is_a_usage_error(self, argv, tmp_path, monkeypatch):
-        # only the sequence commands take --format csv and --out; majorant takes --out
+        # only the sequence commands take --format csv and --out, and not before --then;
+        # majorant takes --out
         monkeypatch.chdir(tmp_path)
         with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()):

@@ -21,6 +21,7 @@ from carleman_lab.seqcore import (
     MembershipCertificate,
     fm_membership,
     log_factorial,
+    rescale,
     tabulate,
 )
 
@@ -584,3 +585,21 @@ class TestCompositionBound:
             rep = verify_composition_bound(f, g)
             assert rep["violations"] == []
 
+
+_W = tabulate(lambda k: 0.0, 5, name="analytic")
+_CERTIFIED_ONES = TruncatedSeries((1, 1, 1, 1), certificate=MembershipCertificate(1.0, 1.0, _W))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fm_membership([], _W, 1.0), "need at least one coefficient"),
+    (lambda: fm_membership([1.0] * 7, _W, 1.0), "does not cover the coefficient range"),
+    (lambda: compose_series(TruncatedSeries((1, 1)), TruncatedSeries((0, 1, 1, 1))),
+     "series too short to compose"),
+    (lambda: verify_composition_bound(_CERTIFIED_ONES, _CERTIFIED_ONES),
+     "composition requires g_0 = 0"),
+    (lambda: rescale(_W, 0.0, 1.0), "rescale requires C > 0 and rho > 0"),
+], ids=["no coefficients", "past the prefix", "order-1 outer series", "certified g_0 != 0",
+        "zero rescale constant"])
+def test_input_guard_raises_domain_error(call, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        call()

@@ -1,7 +1,8 @@
 """Static checks on the package source with the standard library's ast module.
 
 Every top-level import of a module in src/carleman_lab is read somewhere in it
-(or re-exported through ``__all__``), and every name in ``__all__`` is bound.
+(or re-exported through ``__all__``), every name in ``__all__`` is bound, and
+every private top-level function or class is referenced by some module.
 """
 
 import ast
@@ -49,3 +50,25 @@ def test_all_names_resolve(path):
     exported = _all_names(ast.parse(path.read_text(), filename=str(path)))
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names nothing bound: {missing}"
+
+
+def test_no_dead_private_helpers():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    referenced = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    dead = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in zip(MODULES, trees)
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert not dead, f"private helpers nothing references: {dead}"

@@ -3,16 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from carleman_lab import envelope
+from carleman_lab.cli import dumps
 from carleman_lab.envelope import check_sequence
-from carleman_lab.families import FamilySpec, builtin_sequences, make_family
+from carleman_lab.families import FamilySpec, builtin_sequences, make_family, parse_family
 from carleman_lab.predicates import (
+    SLOPE_SLACK,
+    SLOPE_WINDOW_FRAC,
+    SUM_STALL_REL,
+    QuasiDiagnostic,
     Verdict,
+    _last_decade_start,
     growth_diagnostic,
     inclusion_diagnostic,
     is_log_convex,
     quasianalytic_diagnostic,
 )
-from carleman_lab.seqcore import DomainError, WeightSequence, rescale, tabulate
+from carleman_lab.seqcore import DerivedScales, DomainError, WeightSequence, rescale, tabulate
 
 
 def fam(token_kind, k_max=2000, **kw):
@@ -164,6 +171,90 @@ class TestQuasianalyticClassifier:
         # classification must still come out divergent
         diag = quasianalytic_diagnostic(fam("q_delta_n", delta=1.0, n=2, k_max=4000))
         assert diag.classification == "divergent-trend"
+
+
+# -- the former per-criterion classifier, kept as an oracle ---------------------
+
+
+def _fit_tail_slope_oracle(log_summand, ks):
+    """Least-squares slope of log summand vs log k over the tail window."""
+    n = len(log_summand)
+    i0 = int(n * (1.0 - SLOPE_WINDOW_FRAC))
+    i0 = min(max(i0, 0), n - 2)
+    x = np.log(ks[i0:])
+    y = log_summand[i0:]
+    xm, ym = x.mean(), y.mean()
+    denom = np.sum((x - xm) ** 2)
+    if denom == 0.0:
+        return 0.0
+    return float(np.sum((x - xm) * (y - ym)) / denom)
+
+
+def _classify_oracle(log_summand, ks):
+    log_S = np.logaddexp.accumulate(log_summand)
+    slope = _fit_tail_slope_oracle(log_summand, ks)
+    i = _last_decade_start(len(log_S))
+    rel_inc = -np.expm1(log_S[i] - log_S[-1])
+    still_increasing = rel_inc > SUM_STALL_REL
+    near_boundary = slope >= -1.0 - SLOPE_SLACK
+    if near_boundary and still_increasing:
+        cls = "divergent-trend"
+    elif (not still_increasing) or slope < -1.0 - SLOPE_SLACK:
+        cls = "convergent-trend"
+    else:
+        cls = "inconclusive"
+    return cls, slope, np.exp(log_S)
+
+
+def quasianalytic_oracle(W):
+    scales = DerivedScales.from_weight_sequence(W)
+    ks = np.arange(1, W.k_max + 1, dtype=float)
+    s_raw = -scales.log_m
+    log_minc, edge_inc = envelope.increasing_minorant(scales)
+    s_inc = -log_minc
+    env = envelope.log_convex_minorant(W, weak_basis=True)
+    log_blc = env.values
+    s_lc = -log_blc[1:] / ks
+    s_ratio = log_blc[:-1] - log_blc[1:]
+    results = []
+    for summand, kk in (
+        (s_raw, ks),
+        (s_inc, ks),
+        (s_lc, ks),
+        (s_ratio, np.arange(1, W.k_max + 1, dtype=float)),
+    ):
+        results.append(_classify_oracle(summand, kk))
+    classes = tuple(r[0] for r in results)
+    agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
+    return QuasiDiagnostic(
+        partial_sums=tuple(r[2] for r in results),
+        term_slope=tuple(r[1] for r in results),
+        per_criterion=classes,
+        classification=agreed,
+        edge_sensitive=bool(edge_inc or env.is_edge_sensitive),
+    )
+
+
+ORACLE_TOKENS = list(builtin_sequences(2)) + ["gevrey:0.05", "qhat:1:2", "p:0.3:2", "p:1:1"]
+
+
+class TestQuasianalyticAgainstOracle:
+    @pytest.mark.parametrize("k_max", [2, 3, 5, 10, 20, 100, 1000, 10_000])
+    @pytest.mark.parametrize("token", ORACLE_TOKENS)
+    def test_report_bytes_match_per_criterion_oracle(self, token, k_max):
+        W = make_family(parse_family(token), k_max=k_max)
+        got = dumps(quasianalytic_diagnostic(W).to_dict())
+        assert got == dumps(quasianalytic_oracle(W).to_dict())
+
+    def test_nan_slope_of_a_rising_sum_is_inconclusive(self):
+        # log M jumping to near the float maximum overflows the tail fit of
+        # criterion (iii): its slope is NaN while its partial sums still rise
+        W = WeightSequence("jump", 0, np.array([0.0] * 4 + [1.7e308] * 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = quasianalytic_diagnostic(W)
+            assert dumps(diag.to_dict()) == dumps(quasianalytic_oracle(W).to_dict())
+        assert math.isnan(diag.term_slope[2])
+        assert diag.per_criterion[2] == "inconclusive"
 
 
 class TestInclusion:
