@@ -278,6 +278,8 @@ def _cmd_fdb(args) -> int:
     n = args.order
     if n < 2:
         raise DomainError("--order must be at least 2")
+    if args.mode == "bell" and n > envelope.MAX_COMPOSE_K:
+        raise DomainError(f"bell --order capped at {envelope.MAX_COMPOSE_K} (O(n^3) composition)")
     f = fdb.TruncatedSeries(tuple([1] * (n + 2)))
     g = fdb.TruncatedSeries(tuple([0] + [1] * (n + 1)))
     if args.mode == "bell":
@@ -318,7 +320,9 @@ def run(argv: list[str]) -> int:
             raise DomainError("--then follows only seq, checkseq, minorant or compose")
         if tail is not None and (args.format is not None or args.out is not None):
             raise DomainError("--format and --out do not apply to a --then pipeline")
-        kmax = args.kmax if getattr(args, "kmax", None) is not None else _default_kmax()
+        kmax = vars(args).get("kmax", DEFAULT_KMAX)  # families and fdb take no --kmax
+        if kmax is None:
+            kmax = _default_kmax()
         if args.command == "families":
             return _cmd_families(args)
         if args.command == "check":

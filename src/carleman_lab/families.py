@@ -4,8 +4,8 @@ Covers the constant (real analytic) sequence, Gevrey sequences, the
 Q_k = (k log(k+e))^k / k! family with its primed variants, and the
 iterated-logarithm families Q^{delta,n} together with their hat / p
 companion scales.  Each family is one numpy expression in log-space: a
-direct one for analytic, Gevrey and Q'', and M_k = q(idx)^idx / idx! at
-idx = k - 1 + kappa for every other family's scale q.
+direct one for analytic, Gevrey and Q'', and M_k = q(idx)^idx / idx! at a
+shifted index idx for every other scale q (p_scale builds the companions).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "FamilySpec",
     "kappa",
     "make_family",
-    "harmonic_hat",
     "hat_scale",
     "p_scale",
     "iterated_log",
@@ -125,15 +124,10 @@ class FamilySpec:
         return ":".join(f"{getattr(self, _PARAMS[f][0]):g}" if f in _PARAMS else f for f in fields)
 
 
-def _power_over_factorial(idx: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """log(q^idx / idx!) from log q."""
-    return idx * log_q - log_factorial(idx)
-
-
 def make_family(spec: FamilySpec, k_max: int = 10_000) -> WeightSequence:
     """Tabulate a built-in family through k_max (log-space), with M_0 = 1.
 
-    Q and Q' take kappa = 1 in M_k = q(idx)^idx / idx!, idx = k - 1 + kappa.
+    Beyond analytic, Gevrey and Q'': M_k = q(idx)^idx / idx! for the family's scale q.
     """
     if k_max < 2:
         raise DomainError("k_max must be at least 2")
@@ -146,79 +140,45 @@ def make_family(spec: FamilySpec, k_max: int = 10_000) -> WeightSequence:
             log_M = spec.s * log_factorial(ks)
     elif spec.kind == "q18_doubleprime":
         log_M = ks * np.log(np.log(ks + E))
-    elif spec.kind == "q18":
-        log_M = _power_over_factorial(ks, np.log(ks * np.log(ks + E)))
-    elif spec.kind == "q18_prime":
-        # check scale is exactly mck_k = k; Q' recovered by the uncheck map
-        log_M = _power_over_factorial(ks, uncheck_scale(np.log(ks)))
-    elif spec.kind == "q_delta_n":
-        idx = ks - 1.0 + kappa(spec.n)
-        log_M = _power_over_factorial(idx, np.log(q_scale(spec.delta, spec.n, idx)))
     else:
-        idx, scale, _ = _companion_scale(spec, k_max)
-        log_M = _power_over_factorial(idx, np.log(scale))
+        if spec.kind == "q18":
+            idx, log_q = ks, np.log(ks * np.log(ks + E))
+        elif spec.kind == "q18_prime":
+            # check scale is exactly mck_k = k; Q' recovered by the uncheck map
+            idx, log_q = ks, uncheck_scale(np.log(ks))
+        elif spec.kind == "q_delta_n":
+            idx = ks - 1.0 + kappa(spec.n)
+            log_q = np.log(q_scale(spec.delta, spec.n, idx))
+        else:  # hat-q^{1,n} = p^{1,n-1}; p^{1,n} starts at kappa_{n+1}, p^{delta,n} at kappa_n
+            delta, n = (1.0, spec.n - 1) if spec.kind == "qhat_1_n" else (spec.delta, spec.n)
+            idx, scale = p_scale(delta, n, k_max - 1 + kappa(n + 1 if delta == 1.0 else n))
+            log_q = np.log(scale)
+        log_M = idx * log_q - log_factorial(idx)
     claims = FAMILY_REGISTRY[spec.kind][2]
     return WeightSequence(spec.label(), 0, np.concatenate(([0.0], log_M)), claims)
 
 
-def _harmonic(base: np.ndarray) -> np.ndarray:
-    """base_k (1 + sum_{j<=k} 1/base_j), with compensated partial sums."""
-    return base * (1.0 + _kahan_cumsum(1.0 / base))
-
-
 def hat_scale(n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hat-q^{1,n}_k = q^{1,n-1}_k (1 + sum_{j=kappa_n}^k 1/q^{1,n-1}_j).
-
-    Returns (ks, hat values, plain q^{1,n} values) for ks = kappa_n .. k_hi.
-    """
-    if n < 2:
-        raise DomainError("hat scale needs tower depth n >= 2")
-    kap = kappa(n)
-    if k_hi < kap:
-        raise DomainError(f"k_hi must be >= kappa_{n} = {kap}")
-    ks = np.arange(kap, k_hi + 1, dtype=float)
-    return ks, _harmonic(q_scale(1.0, n - 1, ks)), q_scale(1.0, n, ks)
+    """hat-q^{1,n} = p^{1,n-1}: (ks, hat values, plain q^{1,n} values), ks = kappa_n .. k_hi."""
+    ks, hat = p_scale(1.0, n - 1, k_hi)
+    return ks, hat, q_scale(1.0, n, ks)
 
 
 def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """p^{delta,n}_k for ks = start .. k_hi.
+    """p^{delta,n}_k = q^{delta,n}_k (1 + sum_{j=kappa_d}^k 1/q^{delta,n}_j), ks = kappa_d .. k_hi.
 
-    For 0 < delta < 1: q^{delta,n}_k (1 + sum_{j=kappa_n}^k 1/q^{delta,n}_j),
-    from kappa_n.  For delta = 1: hat-q^{1,n+1}, which starts at kappa_{n+1}.
+    d = n for 0 < delta < 1.  For delta = 1, d = n + 1: p^{1,n} is the hat
+    companion hat-q^{1,n+1}.  The partial sums are compensated (Kahan).
     """
-    if delta == 1.0:
-        ks, hat, _ = hat_scale(n + 1, k_hi)
-        return ks, hat
-    kap = kappa(n)
+    if delta == 1.0 and n < 1:
+        raise DomainError("hat scale needs tower depth n >= 2")
+    d = n + 1 if delta == 1.0 else n
+    kap = kappa(d)
     if k_hi < kap:
-        raise DomainError(f"k_hi must be >= kappa_{n} = {kap}")
+        raise DomainError(f"k_hi must be >= kappa_{d} = {kap}")
     ks = np.arange(kap, k_hi + 1, dtype=float)
-    return ks, _harmonic(q_scale(delta, n, ks))
-
-
-def _companion_scale(spec: FamilySpec, k_max: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """(idx, hat or p scale at idx, (delta, d)) for idx = kappa_d .. k_max - 1 + kappa_d.
-
-    hat-q^{1,n} = p^{1,n-1}, and p^{1,n} = hat-q^{1,n+1} sits at depth d = n + 1;
-    q^{delta,d} is the plain counterpart of the scale.
-    """
-    if spec.kind not in ("qhat_1_n", "p_delta_n"):
-        raise DomainError("harmonic_hat expects a qhat_1_n or p_delta_n spec")
-    delta, n = (1.0, spec.n - 1) if spec.kind == "qhat_1_n" else (spec.delta, spec.n)
-    depth = n + 1 if delta == 1.0 else n
-    ks, scale = p_scale(delta, n, k_max - 1 + kappa(depth))
-    return ks, scale, (delta, depth)
-
-
-def harmonic_hat(spec: FamilySpec, k_max: int = 10_000) -> tuple[WeightSequence, np.ndarray, np.ndarray]:
-    """Weight sequence built on the hat / p scale, plus the sandwich ratio.
-
-    Returns (sequence, ks, ratio) where ratio_k compares the hat/p scale with
-    its plain counterpart: hat-q^{1,n}_k / q^{1,n}_k, respectively
-    p^{delta,n}_k / q^{delta,n}_k (for delta = 1, hat-q^{1,n+1}_k / q^{1,n+1}_k).
-    """
-    ks, scale, (delta, depth) = _companion_scale(spec, k_max)
-    return make_family(spec, k_max), ks, scale / q_scale(delta, depth, ks)
+    base = q_scale(delta, n, ks)
+    return ks, base * (1.0 + _kahan_cumsum(1.0 / base))
 
 
 def parse_family(token: str) -> FamilySpec:

@@ -179,11 +179,11 @@ class QuasiDiagnostic:
 def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     """Evaluate the four quasianalyticity criterion sums on the prefix in one pass.
 
-    A criterion is ``divergent-trend`` when its partial sums still rise over the
-    last decade (by more than SUM_STALL_REL of the total) and the least-squares
-    slope of log term vs log k over the last SLOPE_WINDOW_FRAC of the indices is
-    >= -1 - SLOPE_SLACK, ``inconclusive`` when they rise and the slope is NaN,
-    and ``convergent-trend`` otherwise.  The summands underflow f64 for strongly
+    A criterion is ``inconclusive`` when the least-squares slope of log term vs
+    log k over the last SLOPE_WINDOW_FRAC of the indices is NaN, ``divergent-trend``
+    when its partial sums still rise over the last decade (by more than
+    SUM_STALL_REL of the total) and that slope is >= -1 - SLOPE_SLACK, and
+    ``convergent-trend`` otherwise.  The summands underflow f64 for strongly
     shifted families (terms like exp(-1e7/k)), so the partial sums are
     accumulated as log S_N by a running logaddexp.
     """
@@ -208,9 +208,9 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     rising = [-np.expm1(s[i] - s[-1]) > SUM_STALL_REL for s in log_S]  # (S_N - S_i) / S_N
     bound = -1.0 - SLOPE_SLACK
     classes = tuple(
-        "convergent-trend" if not r or slope < bound
-        else "divergent-trend" if slope >= bound
-        else "inconclusive"  # a NaN slope: the fit overflowed on log terms near 1e308
+        "inconclusive" if np.isnan(slope)  # the fit overflowed on log terms near 1e308
+        else "divergent-trend" if r and slope >= bound
+        else "convergent-trend"
         for r, slope in zip(rising, slopes)
     )
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"

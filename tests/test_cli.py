@@ -208,6 +208,15 @@ class TestEnvironment:
         r = run_cli("seq", "--family", "analytic", env_extra={"CARLEMAN_KMAX": "many"})
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("argv", [["families"], ["fdb", "bell", "--order", "5"]])
+    def test_commands_without_kmax_ignore_env(self, argv, monkeypatch, capsys):
+        monkeypatch.delenv("CARLEMAN_KMAX", raising=False)
+        assert cli.run(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("CARLEMAN_KMAX", "many")
+        assert cli.run(argv) == 0
+        assert capsys.readouterr() == plain
+
 
 class TestSubcommands:
     def test_compose(self):
@@ -263,6 +272,20 @@ class TestSubcommands:
         assert (out, err) == ("", "error: k_max_out capped at 500 (O(k^3) dynamic program)\n")
         with pytest.raises(Composed):  # the cap lets order 500 through
             cli.run(["fdb", "bound", "--order", "500"])
+
+    def test_fdb_bell_order_cap_before_composition(self, monkeypatch, capsys):
+        class Composed(Exception):
+            pass
+
+        def compose_series(f, g):
+            raise Composed
+
+        monkeypatch.setattr(fdb, "compose_series", compose_series)
+        assert cli.run(["fdb", "bell", "--order", "501"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: bell --order capped at 500 (O(n^3) composition)\n")
+        with pytest.raises(Composed):  # the cap lets order 500 through
+            cli.run(["fdb", "bell", "--order", "500"])
 
     def test_check_has_no_weak_flag(self, capsys):
         # weakly-log-convex is the weak check; --weak was accepted and ignored

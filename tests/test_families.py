@@ -7,7 +7,6 @@ from carleman_lab.envelope import check_scale, check_sequence
 from carleman_lab.families import (
     FamilySpec,
     builtin_sequences,
-    harmonic_hat,
     hat_scale,
     iterated_log,
     kappa,
@@ -138,15 +137,34 @@ class TestHatAndPScales:
         assert np.all(ratio <= 1.0)
         assert ratio[-1] < 0.85  # separation is visible well inside the range
 
-    def test_harmonic_hat_sequences(self):
-        seq, ks, ratio = harmonic_hat(FamilySpec("qhat_1_n", n=2), k_max=200)
-        assert seq.log_M[0] == 0.0
-        assert seq.k_max == 200
-        assert len(ks) == len(ratio)
-
     def test_hat_needs_depth_two(self):
         with pytest.raises(DomainError):
             hat_scale(1, 100)
+
+    # every DomainError message of the companion-scale builders, pinned verbatim
+    @pytest.mark.parametrize("call, message", [
+        (lambda: hat_scale(1, 100), "hat scale needs tower depth n >= 2"),
+        (lambda: hat_scale(4, 100), "kappa supported only for 1 <= n <= 3"),
+        (lambda: hat_scale(2, 10), "k_hi must be >= kappa_2 = 16"),
+        (lambda: hat_scale(3, 100), "k_hi must be >= kappa_3 = 3814280"),
+        (lambda: p_scale(1.0, 0, 100), "hat scale needs tower depth n >= 2"),
+        (lambda: p_scale(1.0, 3, 10**6), "kappa supported only for 1 <= n <= 3"),
+        (lambda: p_scale(1.0, 1, 10), "k_hi must be >= kappa_2 = 16"),
+        (lambda: p_scale(0.5, 2, 10), "k_hi must be >= kappa_2 = 16"),
+        (lambda: p_scale(0.5, 1, 100), "only delta = 1 is defined at tower depth 1"),
+        (lambda: p_scale(0.0, 2, 100), "delta must be in (0, 1]"),
+        (lambda: p_scale(0.5, 0, 100), "kappa supported only for 1 <= n <= 3"),
+        (lambda: make_family(parse_family("qhat:1:1"), 50), "hat scale needs tower depth n >= 2"),
+        (lambda: make_family(parse_family("p:1:3"), 50), "kappa supported only for 1 <= n <= 3"),
+    ], ids=[
+        "hat(1)", "hat(4)", "hat(2)-short", "hat(3)-short", "p(1,0)", "p(1,3)",
+        "p(1,1)-short", "p(0.5,2)-short", "p(0.5,1)", "p(0,2)", "p(0.5,0)", "qhat:1:1",
+        "p:1:3",
+    ])
+    def test_scale_builder_messages(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestKappaOracle:
@@ -264,15 +282,6 @@ class TestTabulationOracles:
         ):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
-
-    def test_harmonic_hat_ratio(self):
-        for token, (delta, n) in (("qhat:1:2", (1.0, 2)), ("p:0.5:2", (0.5, 2)), ("p:1:1", (1.0, 2))):
-            seq, ks, ratio = harmonic_hat(parse_family(token), k_max=500)
-            assert seq.name == token
-            np.testing.assert_array_equal(seq.log_M, make_family(parse_family(token), 500).log_M)
-            assert ks[0] == kappa(n) and len(ks) == 500
-            scale = np.exp((seq.log_M[1:] + log_factorial(ks)) / ks)
-            np.testing.assert_allclose(ratio, scale / q_scale(delta, n, ks), rtol=1e-12)
 
 
 class TestBadParameters:

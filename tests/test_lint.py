@@ -2,7 +2,8 @@
 
 Every top-level import of a module in src/carleman_lab is read somewhere in it
 (or re-exported through ``__all__``), every name in ``__all__`` is bound, and
-every private top-level function or class is referenced by some module.
+every private top-level function, class or assigned name is referenced by some
+module.
 """
 
 import ast
@@ -52,23 +53,33 @@ def test_all_names_resolve(path):
     assert not missing, f"{name}.__all__ names nothing bound: {missing}"
 
 
+def _top_level_bindings(tree: ast.Module):
+    """(name, line) for each top-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
 def test_no_dead_private_helpers():
     trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
     referenced = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
         elif isinstance(node, ast.alias):
             referenced.add(node.name)
     dead = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{lineno} {name}"
         for path, tree in zip(MODULES, trees)
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in referenced
+        for name, lineno in _top_level_bindings(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not dead, f"private helpers nothing references: {dead}"

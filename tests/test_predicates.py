@@ -256,6 +256,18 @@ class TestQuasianalyticAgainstOracle:
         assert math.isnan(diag.term_slope[2])
         assert diag.per_criterion[2] == "inconclusive"
 
+    def test_nan_slope_of_a_stalled_sum_is_inconclusive(self):
+        # the sums of criteria (iii) and (iv) stop rising while their tail fits
+        # overflow: a NaN slope is no evidence either way
+        W = WeightSequence("jump", 0, np.array([0.0, 1e308, 1.7e308, 1.7e308, 1.7e308]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = quasianalytic_diagnostic(W)
+        assert diag.term_slope[:2] == (pytest.approx(4.9e307, rel=0.01), 0.0)
+        assert all(math.isnan(s) for s in diag.term_slope[2:])
+        assert diag.per_criterion == (
+            "divergent-trend", "convergent-trend", "inconclusive", "inconclusive")
+        assert diag.classification == "inconclusive"
+
 
 class TestInclusion:
     def test_reflexive(self):
