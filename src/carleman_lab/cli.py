@@ -25,7 +25,7 @@ from math import isfinite
 
 import numpy as np
 
-from .seqcore import DomainError, WeightSequence
+from .seqcore import DomainError, MembershipCertificate, WeightSequence, tabulate
 from . import envelope, families, fdb, intersections, predicates
 
 __all__ = ["main", "run"]
@@ -34,18 +34,20 @@ DEFAULT_KMAX = 2000
 
 EXIT_OK = 0
 EXIT_FAILS = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 
-_VERDICT_EXIT = {"holds": EXIT_OK, "fails": EXIT_FAILS, "inconclusive": EXIT_INCONCLUSIVE}
+# each lambda looks its predicate up at call time, so wrappers and patches see the call
+_PREDICATES = {
+    "log-convex": lambda W: predicates.is_log_convex(W, weak=False),
+    "weakly-log-convex": lambda W: predicates.is_log_convex(W, weak=True),
+    "derivation-closed": lambda W: predicates.growth_diagnostic(W, "derivation-closed"),
+    "moderate-growth": lambda W: predicates.growth_diagnostic(W, "moderate-growth"),
+    "quasianalytic": lambda W: predicates.quasianalytic_diagnostic(W),
+}
+CHECK_PREDICATES = tuple(_PREDICATES)
 
-CHECK_PREDICATES = (
-    "log-convex",
-    "weakly-log-convex",
-    "derivation-closed",
-    "moderate-growth",
-    "quasianalytic",
-)
+# every predicate outcome (Verdict.outcome, QuasiDiagnostic.outcome) -> exit code
+_EXIT = {"holds": 0, "divergent-trend": 0, "fails": 1, "convergent-trend": 1, "inconclusive": 2}
 
 
 # -- deterministic JSON -------------------------------------------------------
@@ -100,6 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="environment: CARLEMAN_KMAX overrides the default tabulation length "
         f"({DEFAULT_KMAX})",
     )
+    p.set_defaults(build=None)  # a sequence-valued command sets build, every other one handler
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, family_required=True):
@@ -109,32 +112,38 @@ def _build_parser() -> argparse.ArgumentParser:
     def out(sp):
         sp.add_argument("--out", default=None, help="write two-column (k, value) plot data")
 
-    def sequence(name, help):  # a sequence-valued command: JSON or CSV, and plot data
+    def sequence(name, help, build):  # a sequence-valued command: JSON or CSV, and plot data
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(build=build)
         common(sp)
         sp.add_argument("--format", choices=("json", "csv"), default=None)  # None: JSON
         out(sp)
         return sp
 
     sp = sub.add_parser("families", help="list built-in families")
+    sp.set_defaults(handler=_cmd_families)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sequence("seq", help="tabulate a family")
-    sequence("checkseq", help="check sequence of a family")
-    sp = sequence("minorant", help="log-convex minorant")
+    sequence("seq", help="tabulate a family", build=lambda args, kmax: _family(args.family, kmax))
+    sequence("checkseq", help="check sequence of a family",
+             build=lambda args, kmax: envelope.check_sequence(_family(args.family, kmax)))
+    sp = sequence("minorant", help="log-convex minorant", build=_minorant)
     sp.add_argument("--weak", action="store_true", help="minorant of k! M_k instead of M_k")
 
     sp = sub.add_parser("check", help="run a predicate")
+    sp.set_defaults(handler=_cmd_check)
     sp.add_argument("predicate", choices=CHECK_PREDICATES)
     common(sp, family_required=False)
 
-    sp = sequence("compose", help="compose two families (M o L)")
+    sp = sequence("compose", help="compose two families (M o L)", build=_compose)
     sp.add_argument("--with", dest="other", required=True, help="inner family token")
 
     sp = sub.add_parser("compare", help="inclusion diagnostic F^A subseteq F^B")
+    sp.set_defaults(handler=_cmd_compare)
     common(sp)
     sp.add_argument("--with", dest="other", required=True, help="right-hand family token")
 
     sp = sub.add_parser("majorant", help="separating majorant over a family")
+    sp.set_defaults(handler=_cmd_majorant)
     common(sp)
     out(sp)
     sp.add_argument(
@@ -146,15 +155,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weak", action="store_true", help="Cor-style blockwise construction")
 
     sp = sub.add_parser("fdb", help="formal composition demos and bound checks")
+    sp.set_defaults(handler=_cmd_fdb)
     sp.add_argument("mode", choices=("bell", "bound"))
     sp.add_argument("--order", type=int, default=24)
     return p
-
-
-def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
 
 
 def _write_plot(path: str, W: WeightSequence) -> None:
@@ -169,90 +173,63 @@ def _emit_sequence(W: WeightSequence, args) -> None:
     if args.format == "csv":
         sys.stdout.write(W.to_csv())
     else:
-        _emit(dumps(W.to_dict()))
+        print(dumps(W.to_dict()))
+
+
+def _report(v, name: str) -> int:
+    """Print a predicate's report and return the exit code of its outcome."""
+    print(dumps(v.to_report(name)))
+    return _EXIT[v.outcome]
+
+
+def _csv_row(fields) -> str:
+    """One CSV line; a field holding a comma, quote or line break is quoted (RFC 4180)."""
+    quoted = ('"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f for f in fields)
+    return ",".join(quoted)
 
 
 def _family(token: str, kmax: int) -> WeightSequence:
     return families.make_family(families.parse_family(token), k_max=kmax)
 
 
-# -- predicate dispatch -------------------------------------------------------
+# -- sequence builders and command handlers ------------------------------------
 
 
-def _run_predicate(predicate: str, W: WeightSequence) -> tuple[dict, int]:
-    if predicate in ("log-convex", "weakly-log-convex"):
-        v = predicates.is_log_convex(W, weak=predicate == "weakly-log-convex")
-        return v.to_report(predicate), _VERDICT_EXIT[v.outcome]
-    if predicate in ("derivation-closed", "moderate-growth"):
-        v = predicates.growth_diagnostic(W, predicate)
-        return v.to_report(predicate), _VERDICT_EXIT[v.outcome]
-    if predicate == "quasianalytic":
-        diag = predicates.quasianalytic_diagnostic(W)
-        report = diag.to_dict()
-        report["predicate"] = "quasianalytic"
-        code = {
-            "divergent-trend": EXIT_OK,
-            "convergent-trend": EXIT_FAILS,
-            "inconclusive": EXIT_INCONCLUSIVE,
-        }[diag.classification]
-        return report, code
-    raise DomainError(f"unknown predicate {predicate!r}")
+def _minorant(args, kmax: int) -> WeightSequence:
+    W = _family(args.family, kmax)
+    env = envelope.log_convex_minorant(W, weak_basis=args.weak)
+    return WeightSequence(name=f"minorant({W.name})", k_min=W.k_min, log_M=env.values)
 
 
-# -- command handlers ---------------------------------------------------------
+def _compose(args, kmax: int) -> WeightSequence:
+    W, L = _family(args.family, kmax), _family(args.other, kmax)
+    return envelope.compose_sequences(W, L, min(kmax, envelope.MAX_COMPOSE_K))
 
 
-def _cmd_families(args) -> int:
+def _cmd_families(args, kmax: int) -> int:
     rows = []
     for token, description, claims in sorted(families.FAMILY_REGISTRY.values()):
         row = {"token": token, "description": description}
         if ":" not in token:  # a parameterless family: its token is its label
-            row["label"] = token
-            row["claims"] = sorted(claims)
+            row.update(label=token, claims=sorted(claims))
         rows.append(row)
     if args.format == "csv":
-        lines = ["token,description"]
-        for r in rows:
-            lines.append(f"{r['token']},{r['description']}")
-        _emit("\n".join(lines))
+        pairs = [("token", "description")] + [(r["token"], r["description"]) for r in rows]
+        print("\n".join(map(_csv_row, pairs)))
     else:
-        _emit(dumps(rows))
+        print(dumps(rows))
     return EXIT_OK
 
 
-def _sequence_command(args, kmax: int) -> WeightSequence:
-    W = _family(args.family, kmax)
-    if args.command == "checkseq":
-        return envelope.check_sequence(W)
-    if args.command == "minorant":
-        env = envelope.log_convex_minorant(W, weak_basis=args.weak)
-        name = f"minorant({W.name})"
-        return WeightSequence(name=name, k_min=W.k_min, log_M=env.values)
-    if args.command == "compose":
-        L = _family(args.other, kmax)
-        return envelope.compose_sequences(W, L, min(kmax, envelope.MAX_COMPOSE_K))
-    return W  # seq
-
-
-def _cmd_check(args, kmax: int, piped: WeightSequence | None) -> int:
-    if piped is None:
-        if args.family is None:
-            raise DomainError("check needs --family or a --then pipeline")
-        W = _family(args.family, kmax)
-    else:
-        W = piped
-    report, code = _run_predicate(args.predicate, W)
-    _emit(dumps(report))
-    return code
+def _cmd_check(args, kmax: int) -> int:
+    if args.family is None:
+        raise DomainError("check needs --family or a --then pipeline")
+    return _report(_PREDICATES[args.predicate](_family(args.family, kmax)), args.predicate)
 
 
 def _cmd_compare(args, kmax: int) -> int:
-    A = _family(args.family, kmax)
-    B = _family(args.other, kmax)
-    v = predicates.inclusion_diagnostic(A, B)
-    report = v.to_report(f"inclusion({A.name},{B.name})")
-    _emit(dumps(report))
-    return _VERDICT_EXIT[v.outcome]
+    A, B = _family(args.family, kmax), _family(args.other, kmax)
+    return _report(predicates.inclusion_diagnostic(A, B), f"inclusion({A.name},{B.name})")
 
 
 def _cmd_majorant(args, kmax: int) -> int:
@@ -270,11 +247,11 @@ def _cmd_majorant(args, kmax: int) -> int:
     trace = build(Q, logf)
     if args.out:
         _write_plot(args.out, trace.output_rescaled)
-    _emit(dumps(trace.to_dict()))
+    print(dumps(trace.to_dict()))
     return EXIT_OK
 
 
-def _cmd_fdb(args) -> int:
+def _cmd_fdb(args, kmax: int) -> int:
     n = args.order
     if n < 2:
         raise DomainError("--order must be at least 2")
@@ -284,17 +261,14 @@ def _cmd_fdb(args) -> int:
     g = fdb.TruncatedSeries(tuple([0] + [1] * (n + 1)))
     if args.mode == "bell":
         out = fdb.compose_series(f, g)
-        payload = {"mode": "bell", "order": out.order, "coeffs": [int(c) for c in out.coeffs]}
-        _emit(dumps(payload))
+        print(dumps({"mode": "bell", "order": out.order, "coeffs": [int(c) for c in out.coeffs]}))
         return EXIT_OK
-    from .seqcore import MembershipCertificate, tabulate
-
     W = tabulate(lambda k: 0.0, n + 2, name="analytic", claims={"log-convex"})
     cert = MembershipCertificate(C=1.0, rho=1.0, seq=W)
     fc = fdb.TruncatedSeries(f.coeffs, certificate=cert)
     gc = fdb.TruncatedSeries(g.coeffs, certificate=cert)
     report = fdb.verify_composition_bound(fc, gc)
-    _emit(dumps({"mode": "bound", **report}))
+    print(dumps({"mode": "bound", **report}))
     return EXIT_OK if report["ok"] else EXIT_FAILS
 
 
@@ -316,25 +290,16 @@ def run(argv: list[str]) -> int:
         return EXIT_OK if e.code == 0 else EXIT_USAGE
 
     try:
-        if tail is not None and args.command not in ("seq", "checkseq", "minorant", "compose"):
+        if tail is not None and args.build is None:
             raise DomainError("--then follows only seq, checkseq, minorant or compose")
         if tail is not None and (args.format is not None or args.out is not None):
             raise DomainError("--format and --out do not apply to a --then pipeline")
         kmax = vars(args).get("kmax", DEFAULT_KMAX)  # families and fdb take no --kmax
         if kmax is None:
             kmax = _default_kmax()
-        if args.command == "families":
-            return _cmd_families(args)
-        if args.command == "check":
-            return _cmd_check(args, kmax, piped=None)
-        if args.command == "compare":
-            return _cmd_compare(args, kmax)
-        if args.command == "majorant":
-            return _cmd_majorant(args, kmax)
-        if args.command == "fdb":
-            return _cmd_fdb(args)
-        # sequence-valued commands: seq, checkseq, minorant, compose
-        W = _sequence_command(args, kmax)
+        if args.build is None:
+            return args.handler(args, kmax)
+        W = args.build(args, kmax)
         if tail is not None:
             try:
                 then_args = parser.parse_args(tail)
@@ -344,13 +309,10 @@ def run(argv: list[str]) -> int:
                 raise DomainError("--then only chains into check")
             if then_args.family is not None or then_args.kmax is not None:
                 raise DomainError("--family and --kmax must come before --then")
-            return _cmd_check(then_args, kmax, piped=W)
+            return _report(_PREDICATES[then_args.predicate](W), then_args.predicate)
         _emit_sequence(W, args)
         return EXIT_OK
-    except DomainError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return EXIT_USAGE
-    except OSError as e:
+    except (DomainError, OSError, MemoryError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_USAGE
 

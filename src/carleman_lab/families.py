@@ -107,10 +107,8 @@ class FamilySpec:
     delta: float = 1.0  # iterated-log exponent
     n: int = 1          # tower depth
 
-    KINDS = tuple(FAMILY_REGISTRY)
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in FAMILY_REGISTRY:
             raise DomainError(f"unknown family kind {self.kind!r}")
         if self.kind == "gevrey" and not (isfinite(self.s) and self.s > 0):
             raise DomainError("gevrey requires a finite s > 0")

@@ -329,7 +329,7 @@ def separating_majorant_weak(Q: WeightSequence, f) -> MajorantTrace:
     _require_weakly_log_convex(Q)
     log_qck = envelope.check_scale(DerivedScales.from_weight_sequence(Q))
     pre_rescaled = bool(np.any(np.diff(log_qck) < 0.0))
-    Q_eff = rescale(Q, 1.0, float(np.e)).with_name(Q.name) if pre_rescaled else Q
+    Q_eff = rescale(Q, 1.0, float(np.e)) if pre_rescaled else Q
 
     s = _schedule(Q_eff, f)
     k_hi = int(s.k_j[-1])

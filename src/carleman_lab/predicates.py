@@ -165,6 +165,13 @@ class QuasiDiagnostic:
     classification: str
     edge_sensitive: bool
 
+    @property
+    def outcome(self) -> str:
+        return self.classification
+
+    def to_report(self, predicate: str) -> dict:
+        return {**self.to_dict(), "predicate": predicate}
+
     def to_dict(self) -> dict:
         return {
             "classification": self.classification,

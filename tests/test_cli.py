@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carleman_lab
-from carleman_lab import cli, fdb
+from carleman_lab import cli, families, fdb, predicates
 from carleman_lab.families import make_family, parse_family
+from carleman_lab.predicates import QuasiDiagnostic, Verdict
 from carleman_lab.seqcore import WeightSequence
 
 # the subprocess imports the same package tree as this test process
@@ -59,6 +61,43 @@ class TestExitCodes:
     def test_inconclusive_is_two(self):
         r = run_cli("compare", "--family", "q18", "--with", "analytic", "--kmax", "2000")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("predicate, outcome, code", [
+        *[(p, outcome, code) for p in cli.CHECK_PREDICATES if p != "quasianalytic"
+          for outcome, code in (("holds", 0), ("fails", 1), ("inconclusive", 2))],
+        ("quasianalytic", "divergent-trend", 0),
+        ("quasianalytic", "convergent-trend", 1),
+        ("quasianalytic", "inconclusive", 2),
+    ])
+    def test_outcome_exit_code(self, predicate, outcome, code, monkeypatch, capsys):
+        # every predicate outcome maps to the code of the exit-code table, for
+        # check and for a --then pipeline alike
+        if predicate == "quasianalytic":
+            fixed = QuasiDiagnostic(
+                partial_sums=(np.ones(3),) * 4, term_slope=(-1.0,) * 4,
+                per_criterion=(outcome,) * 4, classification=outcome, edge_sensitive=False,
+            )
+            monkeypatch.setattr(predicates, "quasianalytic_diagnostic", lambda W: fixed)
+            field = "classification"
+        else:
+            fixed = Verdict(outcome, witness_k=1 if outcome == "fails" else None)
+            monkeypatch.setattr(predicates, "is_log_convex", lambda W, weak=False: fixed)
+            monkeypatch.setattr(predicates, "growth_diagnostic", lambda W, mode: fixed)
+            field = "verdict"
+        family = ["--family", "analytic", "--kmax", "20"]
+        for argv in (["check", predicate, *family], ["seq", *family, "--then", "check", predicate]):
+            assert cli.run(argv) == code
+            report = json.loads(capsys.readouterr().out)
+            assert (report[field], report["predicate"]) == (outcome, predicate)
+
+    def test_out_of_memory_is_a_domain_error(self, monkeypatch, capsys):
+        # a tabulation too long for memory is a usage error, not a failing predicate
+        def make_family(spec, k_max):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(families, "make_family", make_family)
+        assert cli.run(["seq", "--family", "analytic", "--kmax", "1000000000"]) == 3
+        assert capsys.readouterr() == ("", "error: Unable to allocate 7.45 GiB\n")
 
     def test_usage_error_is_three(self):
         assert run_cli("frobnicate").returncode == 3
@@ -155,6 +194,22 @@ class TestFormats:
         rows = json.loads(r.stdout)
         tokens = {row["token"] for row in rows}
         assert {"analytic", "q18", "q18p", "q18pp"} <= tokens
+
+    def test_families_csv_is_valid_csv(self, capsys):
+        # descriptions with commas are quoted, byte for byte as the csv module writes them
+        assert cli.run(["families"]) == 0
+        listing = [(r["token"], r["description"]) for r in json.loads(capsys.readouterr().out)]
+        assert cli.run(["families", "--format", "csv"]) == 0
+        out = capsys.readouterr().out
+        rows = [tuple(row) for row in csv.reader(io.StringIO(out))]
+        assert rows == [("token", "description")] + listing
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(rows)
+        assert out == expected.getvalue()
+
+    @pytest.mark.parametrize("field", ["plain", "a,b", 'say "hi"', "two\nlines", "cr\r", ""])
+    def test_csv_row_round_trips(self, field):
+        assert list(csv.reader(io.StringIO(cli._csv_row(["k", field]) + "\n"))) == [["k", field]]
 
 
 class TestPipelines:

@@ -1,9 +1,9 @@
 """Static checks on the package source with the standard library's ast module.
 
 Every top-level import of a module in src/carleman_lab is read somewhere in it
-(or re-exported through ``__all__``), every name in ``__all__`` is bound, and
+(or re-exported through ``__all__``), every name in ``__all__`` is bound,
 every private top-level function, class or assigned name is referenced by some
-module.
+module, and no function body imports anything.
 """
 
 import ast
@@ -83,3 +83,16 @@ def test_no_dead_private_helpers():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_imports_in_function_bodies(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nested = [
+        f"{path.name}:{node.lineno} in {fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert not nested, f"imports inside function bodies: {nested}"
