@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from math import isfinite
 
 import numpy as np
@@ -54,7 +54,7 @@ _EXIT = {"holds": 0, "divergent-trend": 0, "fails": 1, "convergent-trend": 1, "i
 
 
 def dumps(obj) -> str:
-    """JSON with sorted keys and floats at 17 significant digits."""
+    """JSON with sorted keys; floats at 17 significant digits, a run of bit-equal ones formatted once."""
     if obj is None:
         return "null"
     if obj is True:
@@ -76,10 +76,27 @@ def dumps(obj) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == {float} and isfinite(sum(obj)):  # all finite floats
-            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
+        if obj and set(map(type, obj)) == {float} and (text := _finite_floats(obj)) is not None:
+            return "[" + text + "]"
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+
+
+def _finite_floats(vals) -> str | None:
+    """``%.17g`` of each value, comma-separated, or None if a value is not finite.
+
+    A run of bit-equal neighbours (so 0.0 and -0.0 differ) is formatted once, unless runs
+    outnumber half the values: then one format call is cheaper than the run bookkeeping.
+    """
+    arr = np.asarray(vals)
+    if not np.isfinite(arr).all():
+        return None
+    bits = arr.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    if 2 * len(starts) > len(vals):
+        return ", ".join(["%.17g"] * len(vals)) % tuple(vals)
+    heads = (", ".join(["%.17g"] * len(starts)) % tuple(arr[starts].tolist())).split(", ")
+    return ", ".join(chain.from_iterable(map(repeat, heads, np.diff(starts, append=len(vals)).tolist())))
 
 
 # -- argument plumbing --------------------------------------------------------

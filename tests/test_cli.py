@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import carleman_lab
 from carleman_lab import cli, families, fdb, predicates
-from carleman_lab.families import make_family, parse_family
+from carleman_lab.families import builtin_sequences, make_family, parse_family
 from carleman_lab.predicates import QuasiDiagnostic, Verdict
 from carleman_lab.seqcore import WeightSequence
 
@@ -476,6 +476,16 @@ FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
 )
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EDGES = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1.7e308])
+
+
+def runs(values):
+    """Lists built from drawn (value, run length) pairs: bit-equal neighbours, 0.0 next to -0.0."""
+    return st.lists(st.tuples(values, st.integers(1, 6)), min_size=1, max_size=8).map(
+        lambda pairs: [v for v, n in pairs for _ in range(n)])
+
+
+RUNS = runs(st.one_of(FINITE, EDGES))
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=8), FLOATS, FLOATS.map(np.float64),
     st.integers(-(2**200), 2**200), st.integers(-(2**63), 2**63 - 1).map(np.int64),
@@ -485,6 +495,7 @@ LEAVES = st.one_of(
     st.lists(FINITE, min_size=1, max_size=30).map(lambda v: np.array(v).reshape(len(v), 1)),
     st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30).map(
         lambda v: np.array(v, dtype=np.int64)),
+    RUNS, RUNS.map(tuple), runs(st.one_of(FLOATS, EDGES)).map(np.array),
 )
 DOCUMENTS = st.recursive(
     LEAVES,
@@ -502,6 +513,39 @@ class TestWritersAgainstOracles:
     @given(DOCUMENTS)
     def test_dumps(self, doc):
         assert cli.dumps(doc) == dumps_oracle(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(RUNS)
+    def test_dumps_runs(self, vals):
+        assert cli.dumps(vals) == dumps_oracle(vals)
+
+    @pytest.mark.parametrize("vals", [
+        [1e308, 1e308], [-1.7e308, -1.7e308, 1.0, 1.0], [0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+        [0.0, -0.0, 0.0], [5e-324] * 7, [2.5, 1.0, 2.5, 2.5], [1.0], [-0.0],
+        [1e308, 1e308, float("inf")], [0.0, 0.0, float("nan")],
+    ])
+    def test_dumps_edges(self, vals, monkeypatch):
+        texts, finite_floats = [], cli._finite_floats
+
+        def recorded(v):
+            texts.append(finite_floats(v))
+            return texts[-1]
+
+        monkeypatch.setattr(cli, "_finite_floats", recorded)
+        assert cli.dumps(vals) == dumps_oracle(vals)
+        assert cli.dumps(tuple(vals)) == dumps_oracle(vals)
+        # all finite, even where the sum overflows: the list path, not one dumps per element
+        assert [t is not None for t in texts] == [all(map(np.isfinite, vals))] * 2
+
+    def test_dumps_reports(self):
+        W = builtin_sequences(10_000) | {t: make_family(parse_family(t), 10_000)
+                                         for t in ("qhat:1:2", "p:0.3:2")}
+        for mode in ("derivation-closed", "moderate-growth"):
+            for V in W.values():
+                report = predicates.growth_diagnostic(V, mode).to_report(mode)
+                assert cli.dumps(report) == dumps_oracle(report)
+        report = predicates.inclusion_diagnostic(W["q18"], W["gevrey:1"]).to_report("inclusion")
+        assert cli.dumps(report) == dumps_oracle(report)
 
     def test_dumps_float_runs(self):
         rng = np.random.default_rng(5)
