@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -86,17 +86,17 @@ def _finite_floats(vals) -> str | None:
     """``%.17g`` of each value, comma-separated, or None if a value is not finite.
 
     A run of bit-equal neighbours (so 0.0 and -0.0 differ) is formatted once, unless runs
-    outnumber half the values: then one format call is cheaper than the run bookkeeping.
+    outnumber an eighth of the values: then one format call is cheaper and smaller.
     """
     arr = np.asarray(vals)
     if not np.isfinite(arr).all():
         return None
-    bits = arr.view(np.int64)
-    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
-    if 2 * len(starts) > len(vals):
+    bits = arr.view(np.int64)  # equal patterns differ by zero; why not `!=`: DECISIONS.md §5
+    if 8 * (np.count_nonzero(np.diff(bits)) + 1) > len(vals):
         return ", ".join(["%.17g"] * len(vals)) % tuple(vals)
-    heads = (", ".join(["%.17g"] * len(starts)) % tuple(arr[starts].tolist())).split(", ")
-    return ", ".join(chain.from_iterable(map(repeat, heads, np.diff(starts, append=len(vals)).tolist())))
+    starts = np.r_[0, np.flatnonzero(np.diff(bits)) + 1]
+    lengths = np.diff(starts, append=len(vals)).tolist()
+    return ", ".join(", ".join(["%.17g" % v] * n) for v, n in zip(arr[starts].tolist(), lengths))
 
 
 # -- argument plumbing --------------------------------------------------------
