@@ -22,9 +22,7 @@ __all__ = [
     "FamilySpec",
     "kappa",
     "make_family",
-    "hat_scale",
     "p_scale",
-    "iterated_log",
     "q_scale",
     "FAMILY_REGISTRY",
     "parse_family",
@@ -45,31 +43,24 @@ def kappa(n: int) -> int:
     return _KAPPA[n]
 
 
-def iterated_log(x: np.ndarray, n: int) -> np.ndarray:
-    """n-fold iterated natural logarithm; caller guarantees the domain."""
-    y = np.asarray(x, dtype=float)
-    for _ in range(n):
-        y = np.log(y)
-    return y
-
-
 def q_scale(delta: float, n: int, ks: np.ndarray) -> np.ndarray:
-    """q^{delta,n}_k for integer indices ks >= kappa_n.
+    """q^{delta,n}_k = k log k log^2 k ... (log^n k)^delta for integer indices ks >= kappa_n.
 
-    q^{1,1}_k = k log k; q^{delta,n}_k = q^{1,n-1}_k (log^n k)^delta.
+    One pass down the tower: depth d multiplies in log^d k, to the power delta at d = n.
     """
     if not 0.0 < delta <= 1.0:
         raise DomainError("delta must be in (0, 1]")
-    if not 1 <= n <= MAX_TOWER:
-        raise DomainError(f"n must be in [1, {MAX_TOWER}]")
     ks = np.asarray(ks, dtype=float)
     if np.any(ks < kappa(n)):
         raise DomainError(f"q^{{delta,{n}}} defined only for k >= kappa_{n} = {kappa(n)}")
-    if n == 1:
-        if delta != 1.0:
-            raise DomainError("only delta = 1 is defined at tower depth 1")
-        return ks * np.log(ks)
-    return q_scale(1.0, n - 1, ks) * iterated_log(ks, n) ** delta
+    if n == 1 and delta != 1.0:
+        raise DomainError("only delta = 1 is defined at tower depth 1")
+    log_d = np.log(ks)
+    q = ks * log_d
+    for d in range(2, n + 1):
+        log_d = np.log(log_d)
+        q = q * (log_d**delta if d == n else log_d)
+    return q
 
 
 # Per-kind facts, keyed by FamilySpec.kind: the CLI token (S, D and N stand
@@ -154,12 +145,6 @@ def make_family(spec: FamilySpec, k_max: int = 10_000) -> WeightSequence:
         log_M = idx * log_q - log_factorial(idx)
     claims = FAMILY_REGISTRY[spec.kind][2]
     return WeightSequence(spec.label(), 0, np.concatenate(([0.0], log_M)), claims)
-
-
-def hat_scale(n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """hat-q^{1,n} = p^{1,n-1}: (ks, hat values, plain q^{1,n} values), ks = kappa_n .. k_hi."""
-    ks, hat = p_scale(1.0, n - 1, k_hi)
-    return ks, hat, q_scale(1.0, n, ks)
 
 
 def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:

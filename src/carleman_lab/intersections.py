@@ -139,16 +139,17 @@ def _witness_log_g(f, k_max: int) -> np.ndarray:
 
 
 def _greedy_escape_indices(log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Escape indices k_j = min{k > k_{j-1} : g_k/q_k >= a_j}, a_j = 4^j.
+    """Escape indices k_j = min{k > k_{j-1} : g_k/q_k >= a_j}, a_j = 4^j, from k_0 >= 2.
 
-    ``log_ratio[i]`` is log(g_k/q_k) at k = i + 1.  Returns (k_j, log_a_j).
+    ``log_ratio[i]`` is log(g_k/q_k) at k = i + 1.  The search starts at k = 2:
+    k_0 = 1 would leave beta_1 = beta_0^1, never a tower step.  Returns (k_j, log_a_j).
     """
     k_j: list[int] = []
     log_a: list[float] = []
     log4 = np.log(4.0)
     while True:
         thr = len(k_j) * log4
-        start = k_j[-1] if k_j else 0
+        start = k_j[-1] if k_j else 1
         hits = np.flatnonzero(log_ratio[start:] >= thr)
         if not hits.size:
             return np.array(k_j, dtype=int), np.array(log_a, dtype=float)
@@ -171,10 +172,7 @@ def _beta_ladder(k_j: Sequence[int], log_G: Sequence[float]) -> tuple[np.ndarray
     dG = np.diff(log_G)
     if np.any(dG <= 0.0):
         raise DomainError("escape ratios g/q-check not increasing along the trace")
-    # a step with k_j = 1 leaves t flat and puts no bound on s
-    dt = np.diff(t)
-    rising = dt > 0.0
-    s = 0.9 * float(np.min(dG[rising] / dt[rising]))
+    s = 0.9 * float(np.min(dG / np.diff(t)))
     if not s > 0.0:
         raise DomainError("no positive base level keeps the schedule decreasing")
     log_beta = s * t

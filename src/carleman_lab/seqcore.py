@@ -144,12 +144,18 @@ class WeightSequence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WeightSequence":
-        return cls(
-            name=d["name"],
-            k_min=int(d["k_min"]),
-            log_M=np.asarray(d["log_M"], dtype=float),
-            claims=frozenset(d.get("claims", [])),
-        )
+        """The inverse of ``to_dict``; ``k_max``, when present, must match ``log_M``."""
+        missing = [key for key in ("name", "k_min", "log_M") if key not in d]
+        if missing:
+            raise DomainError(f"weight-sequence document has no {', '.join(missing)}")
+        try:
+            k_min, log_M = int(d["k_min"]), np.asarray(d["log_M"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"k_min and log_M must be numeric: {exc}") from None
+        W = cls(d["name"], k_min, log_M, frozenset(d.get("claims", [])))
+        if d.get("k_max", W.k_max) != W.k_max:
+            raise DomainError(f"k_max {d['k_max']!r} disagrees with {W.k_max + 1} log_M entries")
+        return W
 
     def to_csv(self) -> str:
         """CSV with header k,log_M,log_m; log_m is blank for k = 0."""

@@ -23,9 +23,9 @@ from carleman_lab.envelope import (
 from carleman_lab.families import (
     FamilySpec,
     builtin_sequences,
-    hat_scale,
     make_family,
     p_scale,
+    q_scale,
 )
 from carleman_lab.fdb import TruncatedSeries, compose_series, verify_composition_bound
 from carleman_lab.intersections import (
@@ -332,8 +332,8 @@ def test_criterion_08_composition_numerics():
 
 def test_criterion_09_iterated_log_families():
     # (a) hat ratio bracket for n = 2 over [kappa_2, 1e5]
-    _, hat, plain = hat_scale(2, 100_000)
-    r = hat / plain
+    ks, hat = p_scale(1.0, 1, 100_000)
+    r = hat / q_scale(1.0, 2, ks)
     bracket_ok = bool(np.all(r >= 0.95)) and bool(np.all(r <= 1.05))
     # (b) p^{0.3,2} / p^{0.7,2} bracketed
     _, p3 = p_scale(0.3, 2, 100_000)

@@ -348,6 +348,13 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose_sequences(W, W, 501)
 
+    def test_short_input_rejected(self):
+        W, short = tabulate(lambda k: 0.0, 20), tabulate(lambda k: 0.0, 9)
+        for M, L in ((short, W), (W, short)):
+            with pytest.raises(DomainError) as info:
+                compose_sequences(M, L, 10)
+            assert str(info.value) == "both sequences must be tabulated through k_max_out"
+
 
 @st.composite
 def log_convex_compose_inputs(draw):

@@ -7,8 +7,6 @@ from carleman_lab.envelope import check_scale, check_sequence
 from carleman_lab.families import (
     FamilySpec,
     builtin_sequences,
-    hat_scale,
-    iterated_log,
     kappa,
     make_family,
     p_scale,
@@ -32,7 +30,7 @@ class TestKappa:
         # log^n is positive at kappa_n and the tower argument of depth n+1
         # would not be: e^(e^e) < kappa_3 <= e^(e^e) + 1
         assert math.exp(math.exp(math.e)) < kappa(3) <= math.exp(math.exp(math.e)) + 1
-        assert iterated_log(np.array([float(kappa(3))]), 3)[0] > 0.0
+        assert math.log(math.log(math.log(kappa(3)))) > 0.0
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -111,22 +109,16 @@ class TestMakeFamily:
 
 class TestHatAndPScales:
     def test_hat_defining_identity(self):
-        ks, hat, _ = hat_scale(2, 500)
+        ks, hat = p_scale(1.0, 1, 500)  # hat-q^{1,2} = p^{1,1}
         base = q_scale(1.0, 1, ks)
         rhs = base * (1.0 + np.cumsum(1.0 / base))
         np.testing.assert_allclose(hat, rhs, rtol=1e-12)
 
     def test_hat_tracks_plain_scale_depth_two(self):
         # hat-q^{1,2} and q^{1,2} agree to within a slowly-varying factor
-        ks, hat, plain = hat_scale(2, 100_000)
-        ratio = hat / plain
+        ks, hat = p_scale(1.0, 1, 100_000)
+        ratio = hat / q_scale(1.0, 2, ks)
         assert 0.9 < ratio.min() and ratio.max() < 1.1
-
-    def test_p_delta_one_is_next_depth_hat(self):
-        ks_p, p = p_scale(1.0, 1, 100)
-        ks_h, hat, _ = hat_scale(2, 100)
-        np.testing.assert_array_equal(ks_p, ks_h)
-        np.testing.assert_array_equal(p, hat)
 
     def test_p_scale_ordering(self):
         # smaller delta gives the smaller scale: p^{0.3,2} <= p^{0.7,2}
@@ -137,19 +129,12 @@ class TestHatAndPScales:
         assert np.all(ratio <= 1.0)
         assert ratio[-1] < 0.85  # separation is visible well inside the range
 
-    def test_hat_needs_depth_two(self):
-        with pytest.raises(DomainError):
-            hat_scale(1, 100)
-
     # every DomainError message of the companion-scale builders, pinned verbatim
     @pytest.mark.parametrize("call, message", [
-        (lambda: hat_scale(1, 100), "hat scale needs tower depth n >= 2"),
-        (lambda: hat_scale(4, 100), "kappa supported only for 1 <= n <= 3"),
-        (lambda: hat_scale(2, 10), "k_hi must be >= kappa_2 = 16"),
-        (lambda: hat_scale(3, 100), "k_hi must be >= kappa_3 = 3814280"),
         (lambda: p_scale(1.0, 0, 100), "hat scale needs tower depth n >= 2"),
         (lambda: p_scale(1.0, 3, 10**6), "kappa supported only for 1 <= n <= 3"),
         (lambda: p_scale(1.0, 1, 10), "k_hi must be >= kappa_2 = 16"),
+        (lambda: p_scale(1.0, 2, 100), "k_hi must be >= kappa_3 = 3814280"),
         (lambda: p_scale(0.5, 2, 10), "k_hi must be >= kappa_2 = 16"),
         (lambda: p_scale(0.5, 1, 100), "only delta = 1 is defined at tower depth 1"),
         (lambda: p_scale(0.0, 2, 100), "delta must be in (0, 1]"),
@@ -157,9 +142,8 @@ class TestHatAndPScales:
         (lambda: make_family(parse_family("qhat:1:1"), 50), "hat scale needs tower depth n >= 2"),
         (lambda: make_family(parse_family("p:1:3"), 50), "kappa supported only for 1 <= n <= 3"),
     ], ids=[
-        "hat(1)", "hat(4)", "hat(2)-short", "hat(3)-short", "p(1,0)", "p(1,3)",
-        "p(1,1)-short", "p(0.5,2)-short", "p(0.5,1)", "p(0,2)", "p(0.5,0)", "qhat:1:1",
-        "p:1:3",
+        "p(1,0)", "p(1,3)", "p(1,1)-short", "p(1,2)-short", "p(0.5,2)-short", "p(0.5,1)",
+        "p(0,2)", "p(0.5,0)", "qhat:1:1", "p:1:3",
     ])
     def test_scale_builder_messages(self, call, message):
         with pytest.raises(DomainError) as info:
@@ -178,6 +162,17 @@ class TestKappaOracle:
 
 
 # -- per-k oracles: the tabulation formulas the vectorised path replaced ------
+
+
+def recursive_q_scale(delta, n, ks):
+    """The former q^{delta,n}: q^{1,n-1} times the n-fold iterated log of k, to the delta."""
+    ks = np.asarray(ks, dtype=float)
+    if n == 1:
+        return ks * np.log(ks)
+    log_n = ks
+    for _ in range(n):
+        log_n = np.log(log_n)
+    return recursive_q_scale(1.0, n - 1, ks) * log_n**delta
 
 
 def oracle_family(token, k_max):
@@ -201,13 +196,13 @@ def oracle_family(token, k_max):
         return np.concatenate(([0.0], ks * log_m - log_factorial(ks)))
     if spec.kind == "q_delta_n":
         idx = np.arange(1, k_max + 1, dtype=float) - 1.0 + kappa(spec.n)
-        log_scale = np.log(q_scale(spec.delta, spec.n, idx))
+        log_scale = np.log(recursive_q_scale(spec.delta, spec.n, idx))
         return np.concatenate(([0.0], idx * log_scale - log_factorial(idx)))
     # qhat / p: the scale at idx = kappa .. k_max - 1 + kappa, numpy-scalar Kahan sums
     if spec.kind == "p_delta_n" and spec.delta == 1.0:
         return oracle_family(f"qhat:1:{spec.n + 1}", k_max)
     if spec.kind == "qhat_1_n":
-        ks, scale, _ = oracle_hat_scale(spec.n, k_max - 1 + kappa(spec.n))
+        ks, scale = oracle_hat_scale(spec.n, k_max - 1 + kappa(spec.n))
     else:
         ks, scale = oracle_p_scale(spec.delta, spec.n, k_max - 1 + kappa(spec.n))
     return np.concatenate(([0.0], (ks * np.log(scale) - log_factorial(ks))[:k_max]))
@@ -228,16 +223,15 @@ def oracle_kahan_cumsum(terms):
 
 def oracle_hat_scale(n, k_hi):
     ks = np.arange(kappa(n), k_hi + 1, dtype=float)
-    base = q_scale(1.0, n - 1, ks)
-    return ks, base * (1.0 + oracle_kahan_cumsum(1.0 / base)), q_scale(1.0, n, ks)
+    base = recursive_q_scale(1.0, n - 1, ks)
+    return ks, base * (1.0 + oracle_kahan_cumsum(1.0 / base))
 
 
 def oracle_p_scale(delta, n, k_hi):
     if delta == 1.0:
-        ks, hat, _ = oracle_hat_scale(n + 1, k_hi)
-        return ks, hat
+        return oracle_hat_scale(n + 1, k_hi)
     ks = np.arange(kappa(n), k_hi + 1, dtype=float)
-    base = q_scale(delta, n, ks)
+    base = recursive_q_scale(delta, n, ks)
     return ks, base * (1.0 + oracle_kahan_cumsum(1.0 / base))
 
 
@@ -272,11 +266,17 @@ class TestTabulationOracles:
             W = make_family(parse_family(token), k_max=8)
             assert (W.name, W.claims) == (token, want)
 
+    @pytest.mark.parametrize("delta, n", [(1.0, 1)] + [
+        (delta, n) for n in (2, 3) for delta in (1.0, 0.999, 0.5, 0.3, 0.1, 0.001)
+    ])
+    def test_depth_loop_bit_identical_to_recursion(self, delta, n):
+        ks = np.arange(kappa(n), kappa(n) + 200_000, dtype=float)
+        np.testing.assert_array_equal(q_scale(delta, n, ks), recursive_q_scale(delta, n, ks))
+
     def test_kahan_scales_bit_identical_at_1e5(self):
         k_hi = 100_000
         for got, want in (
-            (hat_scale(2, k_hi), oracle_hat_scale(2, k_hi)),
-            (hat_scale(3, kappa(3) + k_hi), oracle_hat_scale(3, kappa(3) + k_hi)),
+            (p_scale(1.0, 2, kappa(3) + k_hi), oracle_hat_scale(3, kappa(3) + k_hi)),
             (p_scale(0.5, 2, k_hi), oracle_p_scale(0.5, 2, k_hi)),
             (p_scale(1.0, 1, k_hi), oracle_p_scale(1.0, 1, k_hi)),
         ):
@@ -296,6 +296,11 @@ class TestBadParameters:
     def test_gevrey_overflow_is_a_non_finite_entry(self):
         with pytest.raises(DomainError, match="non-finite log M at k=4"):
             make_family(parse_family("gevrey:1e308"), k_max=50)
+
+    def test_spec_rejects_an_unknown_kind(self):
+        with pytest.raises(DomainError) as info:
+            FamilySpec("bogus")
+        assert str(info.value) == "unknown family kind 'bogus'"
 
     def test_spec_rejects_non_finite_s(self):
         for s in (math.inf, math.nan, 0.0):

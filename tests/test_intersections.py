@@ -11,7 +11,6 @@ from carleman_lab.envelope import check_scale, check_sequence, log_convex_minora
 from carleman_lab.families import FamilySpec, make_family
 from carleman_lab.fdb import TruncatedSeries
 from carleman_lab.intersections import (
-    _beta_ladder,
     _greedy_escape_indices,
     _phi,
     _schedule,
@@ -350,13 +349,18 @@ class TestLPrime:
 
 
 class TestBetaLadder:
-    def test_flat_step_puts_no_bound_on_the_base_level(self):
-        # k_1 = 1 gives t = (1, 1, 2); only the rising step bounds s
-        log_beta, log_b = _beta_ladder([1, 2, 4], [0.0, 1.0, 3.0])
-        np.testing.assert_array_equal(log_beta, 0.9 * 2.0 * np.array([1.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(log_b, log_beta - [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize("weak", [[], ["--weak"]], ids=["strong", "weak"])
+    def test_marked_unit_index_is_not_an_escape_index(self, weak, capsys):
+        # k_0 = 1 would leave beta_1 = beta_0^1; the escape search starts at k = 2
+        runs = []
+        for marked in ("1,10,40,160,640", "10,40,160,640"):
+            argv = ["majorant", "--family", "q18", "--kmax", "3000", "--marked", marked, *weak]
+            runs.append((cli.run(argv), *capsys.readouterr()))
+        assert runs[0] == runs[1] and runs[0][0] == 0
 
-    def test_unit_first_escape_index_raises_without_warning(self):
+    def test_q13_default_witness_raises_without_warning(self):
+        # exp(-log m_1) underflows on q:1:3, so the unmarked k = 1 sits exactly
+        # on the threshold a_0 = 1; the escape search starts past it, at k_0 = 2
         Q = make_family(FamilySpec("q_delta_n", delta=1.0, n=3), k_max=5000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -395,10 +399,10 @@ class TestExactWitness:
 
 
 def double_loop_escape_indices(log_ratio):
-    """The former greedy search, one Python scan per threshold (oracle)."""
+    """The greedy search from k = 2, one Python scan per threshold (oracle)."""
     k_j, log_a = [], []
     log4 = np.log(4.0)
-    j = start = 0
+    j, start = 0, 1
     while True:
         thr = j * log4
         idx = None
@@ -513,16 +517,22 @@ class TestGuards:
 
 
 class TestMajorantTraceValidation:
-    def test_rejects_non_increasing_beta(self, trace):
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("k_j, beta_j, message", [
+        ((5, 5), (2.0, 3.0), "escape indices must be strictly increasing"),
+        ((2, 5), (1.0, 3.0), "block levels beta_j must exceed 1"),
+        ((2, 5), (2.0, 2.0), "block levels beta_j must be strictly increasing"),
+    ], ids=["k_j-repeat", "beta-at-1", "beta-flat"])
+    def test_rejects_bad_schedule(self, trace, k_j, beta_j, message):
+        with pytest.raises(DomainError) as info:
             MajorantTrace(
-                k_j=(2, 5),
+                k_j=k_j,
                 a_j=(1.0, 4.0),
                 b_j=(0.5, 0.25),
-                beta_j=(2.0, 2.0),
+                beta_j=beta_j,
                 phi_knots=(),
                 output=trace.output,
                 report={},
                 rescale_rho=1.0,
                 output_rescaled=trace.output,
             )
+        assert str(info.value) == message

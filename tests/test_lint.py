@@ -3,7 +3,8 @@
 Every top-level import of a module in src/carleman_lab is read somewhere in it
 (or re-exported through ``__all__``), every name in ``__all__`` is bound,
 every private top-level function, class or assigned name is referenced by some
-module, and no function body imports anything.
+module, every name a submodule exports is re-exported by the package or
+referenced by some module, and no function body imports anything.
 """
 
 import ast
@@ -66,8 +67,8 @@ def _top_level_bindings(tree: ast.Module):
                         yield name.id, node.lineno
 
 
-def test_no_dead_private_helpers():
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+def _referenced(trees) -> set:
+    """Every name the modules read, as a name, an attribute or an imported name."""
     referenced = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -76,6 +77,12 @@ def test_no_dead_private_helpers():
             referenced.add(node.attr)
         elif isinstance(node, ast.alias):
             referenced.add(node.name)
+    return referenced
+
+
+def test_no_dead_private_helpers():
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in MODULES]
+    referenced = _referenced(trees)
     dead = [
         f"{path.name}:{lineno} {name}"
         for path, tree in zip(MODULES, trees)
@@ -83,6 +90,19 @@ def test_no_dead_private_helpers():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_no_public_name_without_a_caller():
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    package = set(_all_names(trees.pop("__init__")))
+    referenced = _referenced(trees.values())
+    orphans = [
+        f"{stem}.{name}"
+        for stem, tree in trees.items()
+        for name in _all_names(tree)
+        if name not in package and name not in referenced
+    ]
+    assert not orphans, f"exported names neither re-exported nor used in src/: {orphans}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

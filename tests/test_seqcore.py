@@ -84,6 +84,12 @@ class TestTabulate:
         with pytest.raises(DomainError):
             tabulate([0.0, 1.0], 5)
 
+    @pytest.mark.parametrize("k_max", [0, 1])
+    def test_k_max_below_two_rejected(self, k_max):
+        with pytest.raises(DomainError) as info:
+            tabulate(lambda k: 0.0, k_max)
+        assert str(info.value) == "k_max must be at least 2"
+
     def test_non_finite_callable_rejected(self):
         with pytest.raises(DomainError):
             tabulate(lambda k: math.inf if k == 3 else 0.0, 5)
@@ -175,6 +181,27 @@ class TestSerialization:
         d["k_min"] = 3
         with pytest.raises(DomainError, match="tabulated from k = 0"):
             WeightSequence.from_dict(d)
+
+    @pytest.mark.parametrize("key", ["name", "k_min", "log_M"])
+    def test_from_dict_names_a_missing_key(self, key):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        del d[key]
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == f"weight-sequence document has no {key}"
+
+    def test_from_dict_rejects_non_numeric_log_M(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["log_M"][2] = "two"
+        with pytest.raises(DomainError, match=r"^k_min and log_M must be numeric: .*'two'"):
+            WeightSequence.from_dict(d)
+
+    def test_from_dict_rejects_a_k_max_that_disagrees_with_log_M(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["k_max"] = 99
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == "k_max 99 disagrees with 5 log_M entries"
 
     def test_json_keys_sorted(self):
         W = tabulate(lambda k: float(k), 4, name="s")
