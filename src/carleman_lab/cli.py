@@ -220,7 +220,7 @@ def _minorant(args, kmax: int) -> WeightSequence:
 
 def _compose(args, kmax: int) -> WeightSequence:
     W, L = _family(args.family, kmax), _family(args.other, kmax)
-    return envelope.compose_sequences(W, L, min(kmax, envelope.MAX_COMPOSE_K))
+    return envelope.compose_sequences(W, L, kmax)
 
 
 def _cmd_families(args, kmax: int) -> int:

@@ -8,6 +8,7 @@ formula it is equivalent to lives in the test suite as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,22 +39,28 @@ MAX_COMPOSE_K = 500
 class EnvelopeResult:
     """Lower convex envelope of a log-space sequence.
 
-    ``values`` is the envelope sampled at every tabulated index,
-    ``contact_set`` the hull vertices (as positions into ``values``), and
-    ``is_edge_sensitive`` is set when the rightmost hull segment spans more
-    than one step, i.e. interior values near the right edge would move if the
-    tabulation were extended.
+    ``values`` is the envelope sampled at every tabulated index, ``y`` the input
+    it lies under, and ``is_edge_sensitive`` is set when the rightmost hull
+    segment spans more than one step, i.e. interior values near the right edge
+    would move if the tabulation were extended.
     """
 
     values: np.ndarray
-    contact_set: tuple
+    y: np.ndarray
     is_edge_sensitive: bool
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "contact_set", tuple(np.asarray(self.contact_set).tolist()))
+        for name in ("values", "y"):
+            arr = np.asarray(getattr(self, name), dtype=float).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    @cached_property
+    def contact_set(self) -> tuple:
+        """Positions where the envelope meets its input: the hull vertices, and interior
+        points of a segment where the input is affine.  Built on first read."""
+        y = self.y
+        return tuple(np.flatnonzero(self.values >= y - 1e-12 * np.maximum(1.0, np.abs(y))).tolist())
 
 
 def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
@@ -69,29 +76,25 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
         raise DomainError("need at least 3 points for an envelope")
     # the sweep's own test for a = i - 2, b = i - 1, at i = 2 .. n - 1
     pops = np.flatnonzero((y[1:-1] - y[:-2]) * 2 >= y[2:] - y[:-2])
-    last = int(pops[-1]) + 2 if pops.size else 0
-    yl = y.tolist()
     hull, i = [0, 1], 2
-    while i < n and (i <= last or hull[-2] != i - 2):
-        # pop while the previous vertex lies on or above the new chord
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (yl[b] - yl[a]) * (i - a) >= (yl[i] - yl[a]) * (b - a):
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-        i += 1
+    if pops.size:  # with nothing to pop, the chain is 0, 1, ..., n - 1
+        last, yl = int(pops[-1]) + 2, y.tolist()
+        while i < n and (i <= last or hull[-2] != i - 2):
+            # pop while the previous vertex lies on or above the new chord
+            while len(hull) >= 2:
+                a, b = hull[-2], hull[-1]
+                if (yl[b] - yl[a]) * (i - a) >= (yl[i] - yl[a]) * (b - a):
+                    hull.pop()
+                else:
+                    break
+            hull.append(i)
+            i += 1
     h = np.concatenate((hull, np.arange(i, n)))
     reps = np.diff(h)
     reps[-1] += 1  # the last segment also fills its right end
     a, b = np.repeat(h[:-1], reps), np.repeat(h[1:], reps)
     values = y[a] + (np.arange(n) - a) * (y[b] - y[a]) / (b - a)
-    # re-collect contact indices: interior points of a segment may coincide
-    # with the input when the input is affine there
-    contact = np.flatnonzero(values >= y - 1e-12 * np.maximum(1.0, np.abs(y)))
-    edge = bool(h[-1] - h[-2] > 1)
-    return EnvelopeResult(values=values, contact_set=contact, is_edge_sensitive=edge)
+    return EnvelopeResult(values=values, y=y, is_edge_sensitive=bool(h[-1] - h[-2] > 1))
 
 
 def increasing_minorant(scales: DerivedScales) -> tuple[np.ndarray, bool]:
@@ -151,28 +154,28 @@ def _log_M_from_scale(log_s: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], ks * log_s - log_factorial(ks)))
 
 
-def _kahan_cumsum(terms) -> np.ndarray:
-    """Compensated (Kahan) running sum, over Python floats."""
-    partial = []
-    s = 0.0
-    c = 0.0
-    for t in np.asarray(terms, dtype=float).tolist():
-        y = t - c
-        u = s + y
-        c = (u - s) - y
-        s = u
-        partial.append(s)
-    return np.array(partial)
+def _compensated_cumsum(terms) -> np.ndarray:
+    """Running sum with each step's rounding error added back (Sum2 of Ogita, Rump and Oishi).
+
+    s = cumsum(x) rounds once per step; TwoSum recovers each step's error exactly, and
+    s + cumsum(err) errs by at most u |S_i| + gamma_i^2 sum_{j<=i} |x_j| from the exact
+    prefix sum S_i (u = 2^-53, gamma_i = i u / (1 - i u)): as if summed at twice the precision.
+    """
+    x = np.asarray(terms, dtype=float)
+    s = np.cumsum(x)
+    z = s[1:] - s[:-1]
+    err = np.zeros_like(s)
+    err[1:] = (s[:-1] - (s[1:] - z)) + (x[1:] - z)
+    return s + np.cumsum(err)
 
 
 def uncheck_scale(log_mck: np.ndarray) -> np.ndarray:
     """log m from log m-check via m_k = mck_k (1 + sum_{j<=k} 1/mck_j).
 
-    ``log_mck`` holds log mck_k for k = 1..n.  The partial sums use
-    compensated (Kahan) summation.
+    ``log_mck`` holds log mck_k for k = 1..n.  The partial sums are compensated.
     """
     log_mck = np.asarray(log_mck, dtype=float)
-    return log_mck + np.log1p(_kahan_cumsum(np.exp(-log_mck)))
+    return log_mck + np.log1p(_compensated_cumsum(np.exp(-log_mck)))
 
 
 def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
@@ -186,28 +189,41 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 
 
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
-    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k <= 500.
+    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k = 0..n.
 
     When every second difference of log L_1..log L_n is >= 0 exactly, (k-j+1, 1, ..., 1)
     majorizes every composition of k into j parts, so by Karamata's inequality (M o L)_k =
     max_j log M_j + (log L_{k-j+1} + c_{j-1}), c_{j-1} the running sum of j - 1 copies of
-    log L_1: one O(n^2) array expression, log L_0 unused.  Other L take the max-plus DP
-    over the number of parts j, O(n^3): pass j builds G[k, j] = max_a log L_a + G[k - a,
-    j - 1] for every k at once and folds log M_j + G[., j] into a running maximum.
+    log L_1, log L_0 unused.  If log M_1..log M_n is exactly convex too, that is a convex
+    function of j, whose maximum lies at j = 1 or j = k: two O(n) rows, for any n.  A convex
+    L under any other M takes the whole O(n^2) array of candidates; other L take the
+    max-plus DP over the number of parts j, O(n^3): pass j builds G[k, j] = max_a log L_a +
+    G[k - a, j - 1] for every k at once and folds log M_j + G[., j] into a running maximum.
+    Both of those are capped at n <= MAX_COMPOSE_K.
     """
     if k_max_out < 2:
         raise DomainError("k_max_out must be at least 2")
-    if k_max_out > MAX_COMPOSE_K:
-        raise DomainError(f"k_max_out capped at {MAX_COMPOSE_K} (O(k^3) dynamic program)")
     if M.k_max < k_max_out or L.k_max < k_max_out:
         raise DomainError("both sequences must be tabulated through k_max_out")
     n = k_max_out
     logL = L.log_M[: n + 1]
     logM = M.log_M[: n + 1]
+    convex_L = _exactly_convex(logL[1:])
+    if convex_L:
+        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
     out = np.full(n + 1, -np.inf)
     out[0] = logM[0]
-    if np.all(np.diff(logL[1:], 2) >= 0.0):
-        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
+    if convex_L and _exactly_convex(logM[1:]):
+        # the j = 1 and j = k candidates, as the O(n^2) array below rounds them
+        out[1:] = np.maximum((logL[1:] + c[0]) + logM[1], (logL[1] + c) + logM[1:])
+        return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
+    if n > MAX_COMPOSE_K:
+        which = "log M" if convex_L else "log L"
+        raise DomainError(
+            f"k_max_out capped at {MAX_COMPOSE_K} unless log M and log L are both convex on "
+            f"1..{n}; {which} is not"
+        )
+    if convex_L:
         # row j - 1, column k - 1 holds log L_{k-j+1}, or -inf where k < j
         parts = sliding_window_view(np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
         cand = parts + c[:, None]
@@ -226,3 +242,8 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
         G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
         out[j:] = np.maximum(out[j:], logM[j] + G[j:])
     return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
+
+
+def _exactly_convex(y: np.ndarray) -> bool:
+    """Every second difference of y, as rounded, is >= 0."""
+    return bool(np.all(np.diff(y, 2) >= 0.0))

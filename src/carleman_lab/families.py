@@ -16,7 +16,7 @@ from math import e as E, isfinite
 import numpy as np
 
 from .seqcore import DomainError, WeightSequence, log_factorial
-from .envelope import _kahan_cumsum, uncheck_scale
+from .envelope import _compensated_cumsum, uncheck_scale
 
 __all__ = [
     "FamilySpec",
@@ -151,7 +151,7 @@ def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
     """p^{delta,n}_k = q^{delta,n}_k (1 + sum_{j=kappa_d}^k 1/q^{delta,n}_j), ks = kappa_d .. k_hi.
 
     d = n for 0 < delta < 1.  For delta = 1, d = n + 1: p^{1,n} is the hat
-    companion hat-q^{1,n+1}.  The partial sums are compensated (Kahan).
+    companion hat-q^{1,n+1}.  The partial sums are compensated.
     """
     if delta == 1.0 and n < 1:
         raise DomainError("hat scale needs tower depth n >= 2")
@@ -161,7 +161,7 @@ def p_scale(delta: float, n: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"k_hi must be >= kappa_{d} = {kap}")
     ks = np.arange(kap, k_hi + 1, dtype=float)
     base = q_scale(delta, n, ks)
-    return ks, base * (1.0 + _kahan_cumsum(1.0 / base))
+    return ks, base * (1.0 + _compensated_cumsum(1.0 / base))
 
 
 def parse_family(token: str) -> FamilySpec:

@@ -152,7 +152,12 @@ class WeightSequence:
             k_min, log_M = int(d["k_min"]), np.asarray(d["log_M"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"k_min and log_M must be numeric: {exc}") from None
-        W = cls(d["name"], k_min, log_M, frozenset(d.get("claims", [])))
+        if not isinstance(d["name"], str):
+            raise DomainError(f"name must be a string, got {d['name']!r}")
+        claims = d.get("claims", [])
+        if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
+            raise DomainError(f"claims must be a list of strings, got {claims!r}")
+        W = cls(d["name"], k_min, log_M, frozenset(claims))
         if d.get("k_max", W.k_max) != W.k_max:
             raise DomainError(f"k_max {d['k_max']!r} disagrees with {W.k_max + 1} log_M entries")
         return W

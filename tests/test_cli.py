@@ -314,6 +314,18 @@ class TestSubcommands:
         assert d["ok"] and d["violations"] == [] and d["order"] == 230
         assert all(np.isfinite(d["log_slack"]))
 
+    def test_compose_convex_pair_past_500(self, capsys):
+        assert cli.run(["compose", "--family", "q18", "--with", "gevrey:1", "--kmax", "100000"]) == 0
+        out, err = capsys.readouterr()
+        d = json.loads(out)
+        assert err == "" and d["k_max"] == 100_000 and len(d["log_M"]) == 100_001
+
+    def test_compose_non_convex_pair_past_500_exits_3(self, capsys):
+        assert cli.run(["compose", "--family", "q:1:3", "--with", "gevrey:1", "--kmax", "501"]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: k_max_out capped at 500 unless log M and log L are both "
+                                  "convex on 1..501; log M is not\n")
+
     def test_fdb_bound_order_cap_before_composition(self, monkeypatch, capsys):
         class Composed(Exception):
             pass

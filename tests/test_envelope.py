@@ -1,8 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from carleman_lab import envelope
 from carleman_lab.envelope import (
@@ -15,7 +17,7 @@ from carleman_lab.envelope import (
     uncheck_scale,
     uncheck_sequence,
 )
-from carleman_lab.families import FamilySpec, make_family, parse_family
+from carleman_lab.families import FamilySpec, builtin_sequences, make_family, parse_family
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -165,6 +167,14 @@ class TestLowerConvexEnvelope:
         twice = lower_convex_envelope(once).values
         np.testing.assert_allclose(once, twice, atol=1e-10)
 
+    def test_contact_set_is_built_on_first_read_from_a_copy_of_the_input(self):
+        y = np.array([0.0, 1.0, 3.0, 6.0, 10.0])
+        env = lower_convex_envelope(y)
+        assert "contact_set" not in vars(env)
+        y[2] = 100.0  # the caller's array may change; the result keeps its own copy
+        assert env.contact_set == (0, 1, 2, 3, 4) and "contact_set" in vars(env)
+        assert env.y.tobytes() == np.array([0.0, 1.0, 3.0, 6.0, 10.0]).tobytes()
+
 
 class TestIncreasingMinorant:
     def test_suffix_minimum(self):
@@ -272,6 +282,27 @@ class TestCheckBijection:
         assert Wc.name == "check(q18)"
 
 
+class TestCompensatedCumsum:
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=80))
+    @settings(max_examples=300, deadline=None)
+    def test_error_bound_against_exact_prefix_sums(self, xs):
+        # Sum2 (Ogita, Rump and Oishi 2005, Prop. 4.5) on the first i + 1 terms:
+        # |s_i - S_i| <= u |S_i| + gamma_i^2 sum |x_j|, u = 2^-53, gamma_i = i u / (1 - i u)
+        got = envelope._compensated_cumsum(xs).tolist()
+        u, exact, mass = Fraction(1, 2**53), Fraction(0), Fraction(0)
+        for i, (x, s) in enumerate(zip(xs, got)):
+            exact += Fraction(x)
+            mass += abs(Fraction(x))
+            gamma = i * u / (1 - i * u)
+            assert abs(Fraction(s) - exact) <= u * abs(exact) + gamma**2 * mass, i
+
+    def test_exact_where_plain_cumsum_is_not(self):
+        # 1 + 2^-53 + 2^-53 + ...: cumsum drops every small term, the compensation keeps them
+        xs = np.array([1.0] + [2.0**-53] * 1000)
+        assert np.cumsum(xs)[-1] == 1.0
+        assert envelope._compensated_cumsum(xs)[-1] == 1.0 + 1000 * 2.0**-53
+
+
 def brute_force_compose(log_M, log_L, k):
     """Enumerate all integer compositions of k."""
     best = -np.inf
@@ -302,6 +333,26 @@ def double_loop_compose(M, L, n):
     for k in range(1, n + 1):
         out[k] = np.max(logM[1 : k + 1] + G[k, 1 : k + 1])
     return out
+
+
+def karamata_compose(M, L, n):
+    """The O(n^2) Karamata form for log-convex L: every candidate j of every k in one array."""
+    logL, logM = L.log_M[: n + 1], M.log_M[: n + 1]
+    c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
+    # row j - 1, column k - 1 holds log L_{k-j+1}, or -inf where k < j
+    parts = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
+    cand = parts + c[:, None]
+    cand += logM[1:, None]
+    return np.concatenate(([logM[0]], cand.max(axis=0)))
+
+
+def exactly_convex(y):
+    return bool(np.all(np.diff(y, 2) >= 0.0))
+
+
+ENDPOINT_TOKENS = tuple(builtin_sequences(k_max=3)) + ("qhat:1:2", "qhat:1:3", "p:0.3:2",
+                                                       "p:0.5:2", "p:1:1", "p:1:2", "p:0.5:3")
 
 
 class TestCompose:
@@ -344,9 +395,18 @@ class TestCompose:
         np.testing.assert_allclose(got.log_M[1:], expect, atol=1e-10)
 
     def test_cap_enforced(self):
-        W = tabulate(lambda k: 0.0, 600)
-        with pytest.raises(DomainError):
-            compose_sequences(W, W, 501)
+        # an all-zero pair is convex on both sides and takes the uncapped endpoint form;
+        # a walk M takes the O(n^2) form under a convex L, and the DP as L
+        walk = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(4).normal(size=601)))
+        zero = tabulate(lambda k: 0.0, 600)
+        for L, which in ((zero, "log M"), (walk, "log L")):
+            with pytest.raises(DomainError) as info:
+                compose_sequences(walk, L, 501)
+            assert str(info.value) == (
+                f"k_max_out capped at 500 unless log M and log L are both convex on 1..501; {which} is not"
+            )
+            assert compose_sequences(walk, L, 500).k_max == 500
+        assert np.array_equal(compose_sequences(zero, zero, 600).log_M, np.zeros(601))
 
     def test_short_input_rejected(self):
         W, short = tabulate(lambda k: 0.0, 20), tabulate(lambda k: 0.0, 9)
@@ -357,24 +417,62 @@ class TestCompose:
 
 
 @st.composite
-def log_convex_compose_inputs(draw):
-    """(M, L, n) with log L_1..log L_n convex: a strictly convex walk, a dyadic
-    affine line (exact zero second differences), or either under an affine
-    stretch log L_k + a + b k; log L_0 and log L_1 are arbitrary."""
-    n = draw(st.integers(2, 60))
+def convex_walks(draw, size):
+    """y_0..y_{size-1} with y_1.. convex: a strictly convex walk, a dyadic affine line
+    (exact zero second differences), or either under an affine stretch y_k + a + b k,
+    which may round a second difference below 0; y_0 is arbitrary."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     curvature = draw(st.sampled_from([0.0, 1e-9, 1e-3, 1.0]))
     if curvature == 0.0:
-        ks = np.arange(n + 3, dtype=float)
-        log_L = draw(st.integers(-40, 40)) / 8 + ks * draw(st.integers(-40, 40)) / 8
+        y = draw(st.integers(-40, 40)) / 8 + np.arange(size) * draw(st.integers(-40, 40)) / 8
     else:
-        d2 = curvature * np.abs(rng.normal(size=n + 3))
-        log_L = np.cumsum(rng.normal() + np.cumsum(d2))
+        y = np.cumsum(rng.normal() + np.cumsum(curvature * np.abs(rng.normal(size=size))))
     if draw(st.booleans()):
-        log_L = log_L + rng.normal() * 10 + np.arange(n + 3) * rng.normal() * 10
-    log_L[0] = rng.normal() * 10
-    log_M = np.cumsum(rng.normal(size=n + 3))
+        y = y + rng.normal() * 10 + np.arange(size) * rng.normal() * 10
+    y[0] = rng.normal() * 10
+    return y
+
+
+@st.composite
+def log_convex_compose_inputs(draw):
+    """(M, L, n) with log L a convex walk, and log M a convex walk too or a random walk."""
+    n = draw(st.integers(2, 60))
+    log_L = draw(convex_walks(n + 3))
+    if draw(st.booleans()):
+        log_M = draw(convex_walks(n + 3))
+    else:
+        log_M = np.cumsum(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n + 3))
     return WeightSequence("M", 0, log_M), WeightSequence("L", 0, log_L), n
+
+
+class TestComposeEndpoints:
+    """The O(n) form compose_sequences takes when log M and log L are both convex."""
+
+    @given(log_convex_compose_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_karamata_form(self, inputs):
+        M, L, n = inputs
+        assume(exactly_convex(M.log_M[1 : n + 1]) and exactly_convex(L.log_M[1 : n + 1]))
+        assert compose_sequences(M, L, n).log_M.tobytes() == karamata_compose(M, L, n).tobytes()
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_builtin_pairs_keep_their_bytes(self, n):
+        seqs = {t: make_family(parse_family(t), k_max=n) for t in ENDPOINT_TOKENS}
+        convex = [t for t, W in seqs.items() if exactly_convex(W.log_M[1:])]
+        assert sorted(set(seqs) - set(convex)) == ["p:0.5:3", "p:1:2", "q:1:3", "qhat:1:3"]
+        for outer, inner in itertools.product(convex, repeat=2):
+            M, L = seqs[outer], seqs[inner]
+            got = compose_sequences(M, L, n).log_M
+            assert got.tobytes() == karamata_compose(M, L, n).tobytes(), (outer, inner)
+
+    def test_uncapped_and_prefix_stable(self, monkeypatch):
+        # at n = 10^5 the O(n^2) array would take 80 GB; no window view may be built
+        M, L = (make_family(parse_family(t), k_max=100_000) for t in ("q18", "gevrey:1"))
+        short = compose_sequences(M, L, 300).log_M
+        monkeypatch.setattr(envelope, "sliding_window_view", None)
+        got = compose_sequences(M, L, 100_000).log_M
+        assert len(got) == 100_001 and np.all(np.isfinite(got))
+        assert got[:301].tobytes() == short.tobytes()
 
 
 class TestComposeClosedForm:

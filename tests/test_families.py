@@ -14,7 +14,7 @@ from carleman_lab.families import (
     q_scale,
 )
 from carleman_lab import cli
-from carleman_lab.envelope import uncheck_scale
+from carleman_lab.envelope import _compensated_cumsum, uncheck_scale
 from carleman_lab.seqcore import DerivedScales, DomainError, WeightSequence, log_factorial, tabulate
 
 
@@ -282,6 +282,13 @@ class TestTabulationOracles:
         ):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("delta, n", [(None, 0), (1.0, 2), (0.3, 2), (0.5, 3)])
+    def test_compensated_sum_bit_identical_to_kahan_at_1e5(self, delta, n):
+        # the terms the q18p tabulation (1/k) and the p scales (1/q^{delta,n}_k) sum
+        ks = np.arange(kappa(n) if n else 1, 100_001, dtype=float)
+        terms = np.exp(-np.log(ks)) if delta is None else 1.0 / q_scale(delta, n, ks)
+        assert _compensated_cumsum(terms).tobytes() == oracle_kahan_cumsum(terms).tobytes()
 
 
 class TestBadParameters:

@@ -203,6 +203,20 @@ class TestSerialization:
             WeightSequence.from_dict(d)
         assert str(info.value) == "k_max 99 disagrees with 5 log_M entries"
 
+    def test_from_dict_rejects_claims_that_are_not_a_list(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["claims"] = "log-convex"  # a string would be read one character at a time
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == "claims must be a list of strings, got 'log-convex'"
+
+    def test_from_dict_rejects_a_name_that_is_not_a_string(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["name"] = 5
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == "name must be a string, got 5"
+
     def test_json_keys_sorted(self):
         W = tabulate(lambda k: float(k), 4, name="s")
         keys = list(json.loads(dumps(W.to_dict())).keys())
