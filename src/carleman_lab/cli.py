@@ -272,8 +272,8 @@ def _cmd_fdb(args, kmax: int) -> int:
     n = args.order
     if n < 2:
         raise DomainError("--order must be at least 2")
-    if args.mode == "bell" and n > envelope.MAX_COMPOSE_K:
-        raise DomainError(f"bell --order capped at {envelope.MAX_COMPOSE_K} (O(n^3) composition)")
+    if n > envelope.MAX_COMPOSE_K:  # compose_series is O(n^3), whatever the weights
+        raise DomainError(f"--order capped at {envelope.MAX_COMPOSE_K} (O(n^3) series composition)")
     f = fdb.TruncatedSeries(tuple([1] * (n + 2)))
     g = fdb.TruncatedSeries(tuple([0] + [1] * (n + 1)))
     if args.mode == "bell":

@@ -191,15 +191,15 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
     """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k = 0..n.
 
-    When every second difference of log L_1..log L_n is >= 0 exactly, (k-j+1, 1, ..., 1)
-    majorizes every composition of k into j parts, so by Karamata's inequality (M o L)_k =
-    max_j log M_j + (log L_{k-j+1} + c_{j-1}), c_{j-1} the running sum of j - 1 copies of
-    log L_1, log L_0 unused.  If log M_1..log M_n is exactly convex too, that is a convex
-    function of j, whose maximum lies at j = 1 or j = k: two O(n) rows, for any n.  A convex
-    L under any other M takes the whole O(n^2) array of candidates; other L take the
-    max-plus DP over the number of parts j, O(n^3): pass j builds G[k, j] = max_a log L_a +
-    G[k - a, j - 1] for every k at once and folds log M_j + G[., j] into a running maximum.
-    Both of those are capped at n <= MAX_COMPOSE_K.
+    One loop over the number of parts j folds log M_j + G_j[k] into a running maximum, where
+    G_j[k] is the best sum of log L over j parts of k.  When every second difference of
+    log L_1..log L_n is >= 0 exactly, (k-j+1, 1, ..., 1) majorizes every composition of k
+    into j parts, so by Karamata's inequality G_j[k] = log L_{k-j+1} + c_{j-1}, c_{j-1} the
+    running sum of j - 1 copies of log L_1, log L_0 unused: O(n^2) in all.  Other L take the
+    max-plus DP, O(n^3): G_j[k] = max_a log L_a + G_{j-1}[k - a] for every k at once.  Both
+    are capped at n <= MAX_COMPOSE_K.  If log M_1..log M_n is exactly convex too, the
+    Karamata candidate is a convex function of j, whose maximum lies at j = 1 or j = k:
+    two O(n) rows, for any n.
     """
     if k_max_out < 2:
         raise DomainError("k_max_out must be at least 2")
@@ -214,7 +214,7 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     out = np.full(n + 1, -np.inf)
     out[0] = logM[0]
     if convex_L and _exactly_convex(logM[1:]):
-        # the j = 1 and j = k candidates, as the O(n^2) array below rounds them
+        # the j = 1 and j = k candidates, as the loop below rounds them
         out[1:] = np.maximum((logL[1:] + c[0]) + logM[1], (logL[1] + c) + logM[1:])
         return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
     if n > MAX_COMPOSE_K:
@@ -223,23 +223,19 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
             f"k_max_out capped at {MAX_COMPOSE_K} unless log M and log L are both convex on "
             f"1..{n}; {which} is not"
         )
-    if convex_L:
-        # row j - 1, column k - 1 holds log L_{k-j+1}, or -inf where k < j
-        parts = sliding_window_view(np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
-        cand = parts + c[:, None]
-        cand += logM[1:, None]  # log M_j + (log L_{k-j+1} + c_{j-1}): addition commutes
-        out[1:] = cand.max(axis=0)
-        return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
     # after pass j, G[k] for k >= j is the max over alpha in N_{>0}^j with
     # sum alpha = k of sum log L_{a_i}
     G = np.full(n + 1, -np.inf)
     G[0] = 0.0
     for j in range(1, n + 1):
-        # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
-        # a = N .. 1, padded with -inf where k - a < j - 1
         N = n - j + 1
-        prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
-        G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
+        if convex_L:
+            G[j:] = logL[1 : N + 1] + c[j - 1]
+        else:
+            # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
+            # a = N .. 1, padded with -inf where k - a < j - 1
+            prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
+            G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
         out[j:] = np.maximum(out[j:], logM[j] + G[j:])
     return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
 
@@ -247,3 +243,21 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
 def _exactly_convex(y: np.ndarray) -> bool:
     """Every second difference of y, as rounded, is >= 0."""
     return bool(np.all(np.diff(y, 2) >= 0.0))
+
+
+def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
+    """Split j <= t // 2 maximising top_t - a_j - a_{t-j}, for each t < len(a).
+
+    That split minimises a_j + a_{t-j}.  When ``a`` is exactly convex (no eps),
+    j -> a_j + a_{t-j} is convex and symmetric about t/2, so it is t // 2;
+    otherwise an O(n^2) row search runs, in the caller's arithmetic
+    top_t - a_j - a_{t-j}, so that rounding picks the same split.
+    """
+    if _exactly_convex(a):
+        return np.arange(len(a)) // 2
+    top = np.broadcast_to(top, len(a))
+    splits = np.empty(len(a), dtype=np.intp)
+    for t in range(len(a)):
+        js = np.arange(t // 2 + 1)
+        splits[t] = np.argmax(top[t] - a[js] - a[t - js])
+    return splits

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .seqcore import DomainError, MembershipCertificate, _log_abs, _log_factorials, fm_membership
-from .envelope import MAX_COMPOSE_K, compose_sequences
+from .envelope import compose_sequences
 
 __all__ = [
     "TruncatedSeries",
@@ -171,8 +171,6 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     n = min(f.order, g.order) - 1  # the order of f o g
     if n < 2:
         raise DomainError(f"the composition bound needs series of order >= 3, got {n + 1}")
-    if n > MAX_COMPOSE_K:  # compose_series is O(n^3), whatever the shape of M and L
-        raise DomainError(f"k_max_out capped at {MAX_COMPOSE_K} (O(k^3) dynamic program)")
     ML = compose_sequences(M, L, n)
     fg = compose_series(f, g)
     rho_f, C_f = f.certificate.rho, f.certificate.C

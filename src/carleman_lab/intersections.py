@@ -34,7 +34,7 @@ from .seqcore import (
     rescale,
 )
 from . import envelope
-from .predicates import _min_plus_splits, growth_diagnostic, is_log_convex
+from .predicates import growth_diagnostic, is_log_convex
 
 __all__ = [
     "MajorantTrace",
@@ -392,7 +392,7 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     log_C = np.log(2.0) + float(mg.margin)
     ks = np.arange(0, k_hi + 1)
     log_Lt = L.log_M[: k_hi + 1] + log_factorial(ks)
-    js = _min_plus_splits(log_Lt)
+    js = envelope._min_plus_splits(log_Lt)
     out = ks * log_C + (log_Lt[js] + log_Lt[ks - js])
     out[0] = 0.0
     log_out = out - log_factorial(ks)

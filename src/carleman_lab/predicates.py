@@ -96,24 +96,6 @@ def _last_decade_start(n: int) -> int:
     return max(0, n - 1 - 9 * (n - 1) // 10) if n > 1 else 0
 
 
-def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
-    """Split j <= t // 2 maximising top_t - a_j - a_{t-j}, for each t < len(a).
-
-    That split minimises a_j + a_{t-j}.  When every second difference of ``a``
-    is >= 0 exactly (no eps), j -> a_j + a_{t-j} is convex and symmetric about
-    t/2, so it is t // 2; otherwise an O(n^2) row search runs, in the caller's
-    arithmetic top_t - a_j - a_{t-j}, so that rounding picks the same split.
-    """
-    if np.all(np.diff(a, 2) >= 0.0):
-        return np.arange(len(a)) // 2
-    top = np.broadcast_to(top, len(a))
-    splits = np.empty(len(a), dtype=np.intp)
-    for t in range(len(a)):
-        js = np.arange(t // 2 + 1)
-        splits[t] = np.argmax(top[t] - a[js] - a[t - js])
-    return splits
-
-
 def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
     """Running prefix supremum of the derivation-closed / moderate-growth statistic.
 
@@ -136,7 +118,7 @@ def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
     elif mode == "moderate-growth":
         s = np.arange(2, n + 1)
         # splits of s = j + (s - j) over log M_1..log M_{n-1}, shifted to j >= 1
-        js = _min_plus_splits(logM[1:n], top=logM[2:]) + 1
+        js = envelope._min_plus_splits(logM[1:n], top=logM[2:]) + 1
         stat = (logM[s] - logM[js] - logM[s - js]) / s
     else:
         raise DomainError(f"unknown growth mode {mode!r}")
@@ -159,7 +141,7 @@ class QuasiDiagnostic:
     only when all four trends agree.
     """
 
-    partial_sums: tuple
+    partial_sums_final: tuple
     term_slope: tuple
     per_criterion: tuple
     classification: str
@@ -177,7 +159,7 @@ class QuasiDiagnostic:
             "classification": self.classification,
             "per_criterion": list(self.per_criterion),
             "term_slope": [float(s) for s in self.term_slope],
-            "partial_sums_final": [float(p[-1]) for p in self.partial_sums],
+            "partial_sums_final": [float(p) for p in self.partial_sums_final],
             "edge_sensitive": bool(self.edge_sensitive),
             "heuristic": "slope/plateau thresholds are finite-sample heuristics",
         }
@@ -222,7 +204,7 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     )
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
     return QuasiDiagnostic(
-        partial_sums=tuple(np.exp(s) for s in log_S),
+        partial_sums_final=tuple(np.exp([s[-1] for s in log_S]).tolist()),
         term_slope=tuple(slopes.tolist()),
         per_criterion=classes,
         classification=agreed,

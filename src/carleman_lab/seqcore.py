@@ -36,17 +36,6 @@ KNOWN_CLAIMS = frozenset(
     }
 )
 
-# claims that survive a rescale M_k -> C rho^k M_k
-_RESCALE_STABLE_CLAIMS = frozenset(
-    {
-        "log-convex",
-        "weakly-log-convex",
-        "quasianalytic",
-        "non-quasianalytic",
-        "moderate-growth",
-    }
-)
-
 
 _LGAMMA_CEIL = 1 << 20  # at most 2^20 table entries (8 MB)
 _lgamma_table = np.empty(0)  # lgamma(i + 1.0) at i; grown lazily, an entry is never rewritten
@@ -234,13 +223,13 @@ def tabulate(
 
 
 def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
-    """Replace M_k by C rho^k M_k; preserves rescale-stable claims."""
+    """Replace M_k by C rho^k M_k; every claim survives, as the derivation-closed statistic
+    (M_{k+1}/M_k)^{1/k} only gains the factor rho^{1/k} <= max(1, rho)."""
     if not (C > 0 and rho > 0):
         raise DomainError("rescale requires C > 0 and rho > 0")
     ks = W.ks
     log_M = np.log(C) + ks * np.log(rho) + W.log_M
-    claims = frozenset(W.claims) & _RESCALE_STABLE_CLAIMS
-    return WeightSequence(name=W.name, k_min=0, log_M=log_M, claims=claims)
+    return WeightSequence(name=W.name, k_min=0, log_M=log_M, claims=W.claims)
 
 
 def _log_abs_one(c) -> float:

@@ -74,7 +74,7 @@ class TestExitCodes:
         # check and for a --then pipeline alike
         if predicate == "quasianalytic":
             fixed = QuasiDiagnostic(
-                partial_sums=(np.ones(3),) * 4, term_slope=(-1.0,) * 4,
+                partial_sums_final=(3.0,) * 4, term_slope=(-1.0,) * 4,
                 per_criterion=(outcome,) * 4, classification=outcome, edge_sensitive=False,
             )
             monkeypatch.setattr(predicates, "quasianalytic_diagnostic", lambda W: fixed)
@@ -336,7 +336,7 @@ class TestSubcommands:
         monkeypatch.setattr(fdb, "compose_series", compose_series)
         assert cli.run(["fdb", "bound", "--order", "501"]) == 3
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: k_max_out capped at 500 (O(k^3) dynamic program)\n")
+        assert (out, err) == ("", "error: --order capped at 500 (O(n^3) series composition)\n")
         with pytest.raises(Composed):  # the cap lets order 500 through
             cli.run(["fdb", "bound", "--order", "500"])
 
@@ -350,7 +350,7 @@ class TestSubcommands:
         monkeypatch.setattr(fdb, "compose_series", compose_series)
         assert cli.run(["fdb", "bell", "--order", "501"]) == 3
         out, err = capsys.readouterr()
-        assert (out, err) == ("", "error: bell --order capped at 500 (O(n^3) composition)\n")
+        assert (out, err) == ("", "error: --order capped at 500 (O(n^3) series composition)\n")
         with pytest.raises(Composed):  # the cap lets order 500 through
             cli.run(["fdb", "bell", "--order", "500"])
 

@@ -446,13 +446,14 @@ def log_convex_compose_inputs(draw):
 
 
 class TestComposeEndpoints:
-    """The O(n) form compose_sequences takes when log M and log L are both convex."""
+    """The forms compose_sequences takes when log L is convex: the O(n) endpoint rows when
+    log M is convex too, the Karamata rows of the running maximum otherwise."""
 
     @given(log_convex_compose_inputs())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_karamata_form(self, inputs):
         M, L, n = inputs
-        assume(exactly_convex(M.log_M[1 : n + 1]) and exactly_convex(L.log_M[1 : n + 1]))
+        assume(exactly_convex(L.log_M[1 : n + 1]))
         assert compose_sequences(M, L, n).log_M.tobytes() == karamata_compose(M, L, n).tobytes()
 
     @pytest.mark.parametrize("n", [300, 500])
@@ -460,13 +461,13 @@ class TestComposeEndpoints:
         seqs = {t: make_family(parse_family(t), k_max=n) for t in ENDPOINT_TOKENS}
         convex = [t for t, W in seqs.items() if exactly_convex(W.log_M[1:])]
         assert sorted(set(seqs) - set(convex)) == ["p:0.5:3", "p:1:2", "q:1:3", "qhat:1:3"]
-        for outer, inner in itertools.product(convex, repeat=2):
+        for outer, inner in itertools.product(seqs, convex):
             M, L = seqs[outer], seqs[inner]
             got = compose_sequences(M, L, n).log_M
             assert got.tobytes() == karamata_compose(M, L, n).tobytes(), (outer, inner)
 
     def test_uncapped_and_prefix_stable(self, monkeypatch):
-        # at n = 10^5 the O(n^2) array would take 80 GB; no window view may be built
+        # at n = 10^5 only the O(n) endpoint rows may run: no capped form, no window view
         M, L = (make_family(parse_family(t), k_max=100_000) for t in ("q18", "gevrey:1"))
         short = compose_sequences(M, L, 300).log_M
         monkeypatch.setattr(envelope, "sliding_window_view", None)
@@ -508,7 +509,7 @@ class TestComposeClosedForm:
         monkeypatch.setattr(envelope, "sliding_window_view",
                             lambda *a: windows.append(1) or real(*a))
         compose_sequences(M, WeightSequence("L", 0, log_L), n)
-        assert len(windows) == 1  # the closed form
+        assert len(windows) == 0  # the closed form
         log_L[n] = np.nextafter(log_L[n], -np.inf)
         d2 = np.diff(log_L[1:], 2)
         assert np.count_nonzero(d2) == 1 and d2[-1] == -np.spacing(log_L[n])

@@ -227,7 +227,7 @@ def quasianalytic_oracle(W):
     classes = tuple(r[0] for r in results)
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
     return QuasiDiagnostic(
-        partial_sums=tuple(r[2] for r in results),
+        partial_sums_final=tuple(float(r[2][-1]) for r in results),
         term_slope=tuple(r[1] for r in results),
         per_criterion=classes,
         classification=agreed,

@@ -11,6 +11,7 @@ from carleman_lab import seqcore
 from carleman_lab.cli import dumps
 from carleman_lab.families import builtin_sequences, kappa, make_family, parse_family
 from carleman_lab.seqcore import (
+    KNOWN_CLAIMS,
     DerivedScales,
     DomainError,
     MembershipCertificate,
@@ -108,11 +109,11 @@ class TestRescaleNormalize:
         V = rescale(W, math.exp(logC), math.exp(logrho))
         np.testing.assert_allclose(V.log_M, W.log_M + logC + logrho * W.ks, atol=1e-9)
 
-    def test_rescale_drops_derivation_closed_claim(self):
-        W = tabulate(lambda k: 0.0, 5, claims={"log-convex", "derivation-closed"})
-        V = rescale(W, 2.0, 3.0)
-        assert "log-convex" in V.claims
-        assert "derivation-closed" not in V.claims
+    @pytest.mark.parametrize("rho", [0.25, 1.0, 3.0])
+    def test_rescale_keeps_every_claim(self, rho):
+        # (M_{k+1}/M_k)^{1/k} gains only rho^{1/k} <= max(1, rho): derivation-closed survives too
+        W = tabulate(lambda k: 0.0, 5, claims=KNOWN_CLAIMS)
+        assert rescale(W, 2.0, rho).claims == KNOWN_CLAIMS
 
 
 class TestMembership:
