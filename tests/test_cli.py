@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carleman_lab
+import cli_digest
 from carleman_lab import cli, families, fdb, predicates
 from carleman_lab.families import builtin_sequences, make_family, parse_family
 from carleman_lab.predicates import QuasiDiagnostic, Verdict
@@ -132,6 +134,18 @@ class TestDeterminism:
         r = run_cli("seq", "--family", "q18", "--kmax", "50")
         # log Q_1 = log(log(1 + e)) printed at full precision
         assert "0.27251388050258341" in r.stdout
+
+    def test_cli_digest_lines(self):
+        # tests/cli_digest.py hashes what each command of its grid prints, in process
+        grid = cli_digest.grid()
+        assert len(grid) == 2602
+        for argv in (["compose", "--family", "q:1:3", "--with", "gevrey:1", "--kmax", "11"],
+                     ["seq", "--family", "q18", "--kmax", "11", "--format", "csv"],
+                     ["fdb", "bound", "--order", "501"]):
+            assert argv in grid
+            r = run_cli(*argv)
+            sha = [hashlib.sha256(s.encode()).hexdigest() for s in (r.stdout, r.stderr)]
+            assert cli_digest.digest(argv) == f"{sha[0]} {sha[1]} {r.returncode} {' '.join(argv)}"
 
 
 class TestFormats:

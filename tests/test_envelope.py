@@ -158,6 +158,16 @@ class TestLowerConvexEnvelope:
         with pytest.raises(DomainError):
             lower_convex_envelope(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for i in (0, 1, 3):
+            y = np.array([0.0, 1.0, 1.5, 2.0, 3.0])
+            y[i] = bad
+            y[4] = bad  # the message names the first non-finite index
+            with pytest.raises(DomainError) as info:
+                lower_convex_envelope(y)
+            assert str(info.value) == f"non-finite envelope input at i={i}"
+
     @given(seed=st.integers(0, 10_000), n=st.integers(5, 25))
     @settings(max_examples=40, deadline=None)
     def test_idempotent(self, seed, n):
@@ -396,7 +406,7 @@ class TestCompose:
 
     def test_cap_enforced(self):
         # an all-zero pair is convex on both sides and takes the uncapped endpoint form;
-        # a walk M takes the O(n^2) form under a convex L, and the DP as L
+        # a walk takes the capped DP as M under a convex L, and as L
         walk = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(4).normal(size=601)))
         zero = tabulate(lambda k: 0.0, 600)
         for L, which in ((zero, "log M"), (walk, "log L")):
@@ -446,22 +456,24 @@ def log_convex_compose_inputs(draw):
 
 
 class TestComposeEndpoints:
-    """The forms compose_sequences takes when log L is convex: the O(n) endpoint rows when
-    log M is convex too, the Karamata rows of the running maximum otherwise."""
+    """The form compose_sequences takes when log M and log L are both convex: the O(n)
+    endpoint rows, bit-identical to the O(n^2) Karamata form."""
 
     @given(log_convex_compose_inputs())
     @settings(max_examples=300, deadline=None)
     def test_bit_identical_to_karamata_form(self, inputs):
         M, L, n = inputs
-        assume(exactly_convex(L.log_M[1 : n + 1]))
+        assume(exactly_convex(L.log_M[1 : n + 1]) and exactly_convex(M.log_M[1 : n + 1]))
         assert compose_sequences(M, L, n).log_M.tobytes() == karamata_compose(M, L, n).tobytes()
 
     @pytest.mark.parametrize("n", [300, 500])
     def test_builtin_pairs_keep_their_bytes(self, n):
+        # a non-convex M under a convex L takes the O(n^3) DP: those 56 pairs run at 300 only
         seqs = {t: make_family(parse_family(t), k_max=n) for t in ENDPOINT_TOKENS}
         convex = [t for t, W in seqs.items() if exactly_convex(W.log_M[1:])]
         assert sorted(set(seqs) - set(convex)) == ["p:0.5:3", "p:1:2", "q:1:3", "qhat:1:3"]
-        for outer, inner in itertools.product(seqs, convex):
+        outers = seqs if n == 300 else convex
+        for outer, inner in itertools.product(outers, convex):
             M, L = seqs[outer], seqs[inner]
             got = compose_sequences(M, L, n).log_M
             assert got.tobytes() == karamata_compose(M, L, n).tobytes(), (outer, inner)
@@ -477,7 +489,8 @@ class TestComposeEndpoints:
 
 
 class TestComposeClosedForm:
-    """The Karamata closed form that compose_sequences takes for log-convex L."""
+    """Convex L under a convex or random-walk M: the endpoint rows when both sides are
+    exactly convex, the DP otherwise, each against the double loop and enumeration."""
 
     @given(log_convex_compose_inputs())
     @settings(max_examples=150, deadline=None)
@@ -502,22 +515,26 @@ class TestComposeClosedForm:
         # entry makes the last one -1 ulp, and the DP (one window per pass) must run
         n = 40
         log_L = 0.5 + 0.25 * np.arange(n + 1)
-        log_M = np.cumsum(np.random.default_rng(3).normal(size=n + 1))
-        M = WeightSequence("M", 0, log_M)
+        convex_M = WeightSequence("M", 0, 0.125 * np.arange(n + 1) ** 2)
+        walk_M = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(3).normal(size=n + 1)))
         windows = []
         real = envelope.sliding_window_view
         monkeypatch.setattr(envelope, "sliding_window_view",
                             lambda *a: windows.append(1) or real(*a))
-        compose_sequences(M, WeightSequence("L", 0, log_L), n)
-        assert len(windows) == 0  # the closed form
+        dyadic = WeightSequence("L", 0, log_L)
+        compose_sequences(convex_M, dyadic, n)
+        assert len(windows) == 0  # the endpoint rows
+        got = compose_sequences(walk_M, dyadic, n).log_M
+        assert len(windows) == n  # a non-convex M under the convex L takes the DP
+        assert np.array_equal(got, double_loop_compose(walk_M, dyadic, n))
         log_L[n] = np.nextafter(log_L[n], -np.inf)
         d2 = np.diff(log_L[1:], 2)
         assert np.count_nonzero(d2) == 1 and d2[-1] == -np.spacing(log_L[n])
         L = WeightSequence("L", 0, log_L)
         windows.clear()
-        got = compose_sequences(M, L, n).log_M
+        got = compose_sequences(convex_M, L, n).log_M
         assert len(windows) == n
-        assert np.array_equal(got, double_loop_compose(M, L, n))
+        assert np.array_equal(got, double_loop_compose(convex_M, L, n))
 
     @pytest.mark.parametrize("k_max_out", [0, 1])
     def test_too_short_output_rejected(self, k_max_out):
