@@ -21,6 +21,7 @@ import numpy as np
 
 from .seqcore import DomainError, MembershipCertificate, _log_abs, _log_factorials, fm_membership
 from .envelope import compose_sequences
+from .predicates import is_log_convex
 
 __all__ = [
     "TruncatedSeries",
@@ -28,6 +29,8 @@ __all__ = [
     "multiply_series",
     "verify_composition_bound",
 ]
+
+_last_compose = (None, None, 0, None)  # (M, L, n, M o L) of verify_composition_bound's last miss
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,7 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         f.certificate is not None
         and g.certificate is not None
         and f.certificate.seq is g.certificate.seq
+        and is_log_convex(f.certificate.seq, weak=True).holds
     ):
         W = f.certificate.seq
         M0 = float(np.exp(W.log_M[0]))
@@ -160,7 +164,10 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     tau = rho_g (1 + rho_f C_g) and C* = rho_f C_f C_g / (1 + rho_f C_g) are
     the constants produced by the composition estimate; the bound is asserted
     for k >= 1 (the k = 0 coefficient is not covered by the estimate).
-    Returns a report with per-k log-space slack.
+    Returns a report with per-k log-space slack.  The last M o L is reused
+    while both certificate sequences are the same (frozen) objects at the same
+    n (one entry, which keeps M, L and M o L alive): a loop like acceptance
+    criterion 8 certifies many pairs over one class.
     """
     if f.certificate is None or g.certificate is None:
         raise DomainError("both series need growth certificates")
@@ -171,7 +178,11 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     n = min(f.order, g.order) - 1  # the order of f o g
     if n < 2:
         raise DomainError(f"the composition bound needs series of order >= 3, got {n + 1}")
-    ML = compose_sequences(M, L, n)
+    global _last_compose
+    last = _last_compose  # read once, so that an entry another thread stores is not mixed in
+    if not (last[0] is M and last[1] is L and last[2] == n):
+        last = _last_compose = (M, L, n, compose_sequences(M, L, n))
+    ML = last[3]
     fg = compose_series(f, g)
     rho_f, C_f = f.certificate.rho, f.certificate.C
     rho_g, C_g = g.certificate.rho, g.certificate.C

@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 CONVEXITY_EPS = 1e-9      # relative, log-space, for three-term convexity tests
-PLATEAU_EPS = 1e-3        # last-decade increase below this counts as a plateau
+PLATEAU_EPS = 1e-3        # last-decade rise, relative to the whole trace's rise, of a plateau
+PLATEAU_MIN_POINTS = 20   # a shorter growth trace is never called a plateau
 SLOPE_SLACK = 0.25        # half-width around the -1 log-log divergence boundary
 SUM_STALL_REL = 1e-2      # relative last-decade partial-sum growth threshold
 SLOPE_WINDOW_FRAC = 0.25  # tail fraction of indices used for the slope fit
@@ -106,9 +107,9 @@ def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
     when log M_1..log M_{n-1} has every second difference >= 0 exactly, and
     by an O(n^2) row search otherwise.
 
-    Holds when the running sup has plateaued over the last decade of indices,
-    inconclusive otherwise; a finite prefix can never refute sup-finiteness,
-    so the outcome is never "fails".
+    Holds when the trace has PLATEAU_MIN_POINTS points or more and its last-decade
+    rise is at most PLATEAU_EPS of its whole rise, else inconclusive; a finite
+    prefix can never refute sup-finiteness, so the outcome is never "fails".
     """
     logM = W.log_M
     n = W.k_max
@@ -124,7 +125,8 @@ def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
         raise DomainError(f"unknown growth mode {mode!r}")
     run_sup = np.maximum.accumulate(stat)
     margin = float(run_sup[-1])
-    if run_sup[-1] - run_sup[_last_decade_start(len(run_sup))] < PLATEAU_EPS:
+    rise = run_sup[-1] - run_sup[_last_decade_start(len(run_sup))]
+    if len(run_sup) >= PLATEAU_MIN_POINTS and rise <= PLATEAU_EPS * (run_sup[-1] - run_sup[0]):
         return Verdict("holds", margin=margin, statistic_trace=run_sup)
     return Verdict("inconclusive", margin=margin, statistic_trace=run_sup)
 

@@ -125,32 +125,6 @@ PINNED = {
     ('gevrey:0.2', 1000, 'quasianalytic', 'divergent-trend'),
     ('gevrey:0.2', 10000, 'quasianalytic', 'divergent-trend'),
     ('gevrey:0.2', 30000, 'quasianalytic', 'divergent-trend'),
-    ('log M=1e-7*k^2', 3, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 5, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 10, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 20, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 40, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 100, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 1000, 'moderate-growth', 'holds'),
-    ('log M=1e-7*k^2', 10000, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 3, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 5, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 10, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 20, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 40, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 100, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 1000, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 10000, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^2', 30000, 'moderate-growth', 'holds'),
-    ('log M=1e-8*k^3', 3, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 5, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 10, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 20, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 40, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 100, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 1000, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 10000, 'derivation-closed', 'holds'),
-    ('log M=1e-8*k^3', 30000, 'derivation-closed', 'holds'),
     ('m=k*l^1.1', 100, 'quasianalytic', 'divergent-trend'),
     ('m=k*l^1.1', 1000, 'quasianalytic', 'divergent-trend'),
     ('m=k*l^1.1', 10000, 'quasianalytic', 'divergent-trend'),

@@ -465,6 +465,16 @@ class TestMultiply:
         g = TruncatedSeries((1, 1), certificate=MembershipCertificate(1.0, 1.0, W2))
         assert multiply_series(f, g).certificate is None
 
+    def test_no_certificate_when_the_basis_is_not_weakly_log_convex(self):
+        # log(k! M_k) is concave at k = 1, so (C^2 M_0, 2) does not bound f^2:
+        # the product is returned without a certificate instead of raising
+        W = tabulate([0, 5, -20, 5, 0, 0, 0, 0], 7)
+        fc = tuple(math.factorial(k) * math.exp(W.log_M[k]) for k in range(8))
+        f = TruncatedSeries(fc, certificate=MembershipCertificate(fm_membership(fc, W, 1.0), 1.0, W))
+        out = multiply_series(f, f)
+        assert out.certificate is None
+        assert repr(out.coeffs) == repr(double_loop_multiply(f, f).coeffs)
+
 
 class TestCompositionBound:
     def _analytic_pair(self, n=16):
@@ -556,6 +566,68 @@ class TestCompositionBound:
         assert rep["violations"] == [5] and not rep["ok"]
         assert rep["lossy_float_coefficients"] == isinstance(big, float)
         assert repr(rep) == repr(loop_bound_report(f, g, fg))
+
+    @staticmethod
+    def _certified_pair(W, n, seed):
+        rng = np.random.default_rng(seed)
+        fc = tuple(rng.normal(size=n + 1))
+        gc = (0.0,) + tuple(rng.normal(size=n))
+        return (TruncatedSeries(fc, certificate=MembershipCertificate(
+                    max(fm_membership(fc, W, 1.5), 1e-9), 1.5, W)),
+                TruncatedSeries(gc, certificate=MembershipCertificate(
+                    max(fm_membership(gc, W, 2.0), 1e-9), 2.0, W)))
+
+    def _counting(self, monkeypatch):
+        calls = []
+
+        def spy(M, L, n):
+            calls.append(n)
+            return compose_sequences(M, L, n)
+
+        monkeypatch.setattr(fdb, "compose_sequences", spy)
+        return calls
+
+    def test_consecutive_calls_over_one_basis_compose_once(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        W = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 13, name="w")
+        for seed in range(3):
+            f, g = self._certified_pair(W, 13, seed)
+            assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
+        assert calls == [12]
+
+    def test_same_name_and_length_other_values_recompose(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        W1 = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 13, name="w")
+        W2 = tabulate(lambda k: 0.5 * k * math.log(k + 1.0), 13, name="w")
+        reports = []
+        for W in (W1, W2, W1):
+            f, g = self._certified_pair(W, 13, 0)
+            reports.append(repr(verify_composition_bound(f, g)))
+            assert reports[-1] == repr(loop_bound_report(f, g))
+        assert reports[0] != reports[1] and reports[0] == reports[2]
+        assert calls == [12, 12, 12]
+
+    def test_same_sequences_at_another_order_recompose(self, monkeypatch):
+        calls = self._counting(monkeypatch)
+        W = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 13, name="w")
+        for n in (13, 8, 13):
+            f, g = self._certified_pair(W, n, n)
+            assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
+        assert calls == [12, 7, 12]
+
+    def test_a_raising_composition_leaves_no_entry(self, monkeypatch):
+        W = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 13, name="w")
+        f, g = self._certified_pair(W, 13, 0)
+
+        def boom(M, L, n):
+            raise DomainError("composition failed")
+
+        monkeypatch.setattr(fdb, "compose_sequences", boom)
+        with pytest.raises(DomainError, match="composition failed"):
+            verify_composition_bound(f, g)
+        calls = self._counting(monkeypatch)
+        assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
+        assert calls == [12]
 
     def test_requires_certificates(self):
         f = TruncatedSeries((1, 1, 1))
