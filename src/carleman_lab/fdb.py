@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _last_compose = (None, None, 0, None)  # (M, L, n, M o L) of verify_composition_bound's last miss
+_binomials = np.zeros((1, 1))  # float C(m-1, j) at [m, j < m]; read-only, replaced whole to grow
 
 
 @dataclass(frozen=True)
@@ -94,22 +95,13 @@ def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         fc = [c.numerator * (E // c.denominator) * D ** (n - k) for k, c in enumerate(fc)]
         dtype, den = object, E * D**n
     else:
-        fc, gc = list(map(float, fc)), list(map(float, gc))
+        fc, gc = _floats(fc), _floats(gc)
         dtype, den = float, 1
-    # W[m, j] = C(m-1, j) g_{m-j} for j < m, else 0; binomials from exact Pascal rows
-    W = np.zeros((n + 1, n + 1), dtype)
-    try:
-        for m, row in enumerate(_pascal_rows(n - 1), 1):
-            W[m, :m] = row
-    except OverflowError:
-        raise DomainError(
-            f"a binomial weight C({m - 1}, j) passed the float range at order {n}; "
-            "exact coefficients compose at any order"
-        ) from None
     r = np.arange(n + 1)
     bell = np.eye(n + 1, dtype=dtype)  # bell[k, m] = B_{m,k}: row 0, then one product a row
     with np.errstate(over="ignore", invalid="ignore"):  # TruncatedSeries rejects inf and NaN
-        W *= np.array(gc, dtype)[r[:, None] - r]  # the wrapped indices j > m meet zeros of W
+        W = np.array(gc, dtype)[r[:, None] - r]  # g_{m-j}; the wrapped j > m meet zero weights
+        W *= _binomial_weights(n, dtype)  # W[m, j] = g_{m-j} C(m-1, j), one array fewer alive
         for k in range(1, n + 1):
             bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
         out = (np.array(fc, dtype) @ bell).tolist()
@@ -127,6 +119,32 @@ def _pascal_rows(n: int):
         row = [1, *map(add, row, row[1:]), 1]
 
 
+def _binomial_weights(n: int, dtype) -> np.ndarray:
+    """C(m-1, j) at [m, j < m], else 0, for m, j <= n, from exact Pascal rows.  Float weights view
+    one read-only table, replaced whole by one of order n when n passes it; exact ones are new."""
+    global _binomials
+    W = _binomials  # read once, so that a table another thread publishes is not mixed in
+    if dtype is object or n >= len(W):
+        W = np.zeros((n + 1, n + 1), dtype)
+        try:
+            for m, row in enumerate(_pascal_rows(n - 1), 1):
+                W[m, :m] = row
+        except OverflowError:
+            raise DomainError(f"a binomial weight C({m - 1}, j) passed the float range at order "
+                              f"{n}; exact coefficients compose at any order") from None
+        if dtype is float:
+            W.flags.writeable = False
+            _binomials = W
+    return W[: n + 1, : n + 1]
+
+
+def _floats(coeffs) -> list:
+    try:
+        return list(map(float, coeffs))
+    except OverflowError:
+        raise DomainError("an exact coefficient passed the float range of a float series") from None
+
+
 def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """(fg)_k = sum_i binom(k, i) f_i g_{k-i} on the common prefix.
 
@@ -137,7 +155,7 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     n_out = min(f.order, g.order)
     fc, gc = f.coeffs, g.coeffs
     if not (f.is_exact and g.is_exact):
-        fc, gc = tuple(map(float, fc)), tuple(map(float, gc))
+        fc, gc = _floats(fc), _floats(gc)
     # exact Pascal rows; reduce keeps the loop's sum order (sum compensates floats from 3.12)
     out = [reduce(add, map(mul, map(mul, row, fc), reversed(gc[: k + 1])), 0)
            for k, row in enumerate(_pascal_rows(n_out))]
@@ -178,16 +196,18 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     n = min(f.order, g.order) - 1  # the order of f o g
     if n < 2:
         raise DomainError(f"the composition bound needs series of order >= 3, got {n + 1}")
+    rho_f, C_f = f.certificate.rho, f.certificate.C
+    rho_g, C_g = g.certificate.rho, g.certificate.C
+    tau = rho_g * (1.0 + rho_f * C_g)
+    C_star = rho_f * C_f * C_g / (1.0 + rho_f * C_g)
+    if not (0 < tau < np.inf and 0 < C_star < np.inf):  # an inf or NaN bound certifies nothing
+        raise DomainError(f"composition constants tau = {tau}, C* = {C_star} not finite and > 0")
     global _last_compose
     last = _last_compose  # read once, so that an entry another thread stores is not mixed in
     if not (last[0] is M and last[1] is L and last[2] == n):
         last = _last_compose = (M, L, n, compose_sequences(M, L, n))
     ML = last[3]
     fg = compose_series(f, g)
-    rho_f, C_f = f.certificate.rho, f.certificate.C
-    rho_g, C_g = g.certificate.rho, g.certificate.C
-    tau = rho_g * (1.0 + rho_f * C_g)
-    C_star = rho_f * C_f * C_g / (1.0 + rho_f * C_g)
     ks = np.arange(1.0, n + 1)
     log_bound = np.log(C_star) + ks * np.log(tau) + _log_factorials(n)[1:] + ML.log_M[1:]
     log_c = _log_abs(fg.coeffs[1:])

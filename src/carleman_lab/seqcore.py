@@ -37,6 +37,7 @@ KNOWN_CLAIMS = frozenset(
 )
 
 
+_LOG_FLOAT_MAX = log(np.finfo(float).max)  # np.exp(x) is finite exactly for x <= this
 _LGAMMA_CEIL = 1 << 20  # at most 2^20 table entries (8 MB)
 _lgamma_table = np.empty(0)  # lgamma(i + 1.0) at i; grown lazily, an entry is never rewritten
 
@@ -177,6 +178,13 @@ class DerivedScales:
         return cls(log_m=(log_factorial(ks) + W.log_M[1:]) / ks)
 
 
+def _float_or_nan(x) -> float:
+    try:
+        return float(x)
+    except (OverflowError, TypeError, ValueError):
+        return np.nan
+
+
 @dataclass(frozen=True)
 class MembershipCertificate:
     """Witness (C, rho) for |f_k| <= C rho^k k! M_k over a weight sequence."""
@@ -186,10 +194,7 @@ class MembershipCertificate:
     seq: WeightSequence
 
     def __post_init__(self):
-        try:  # an int or Fraction past the float range is rejected here, not in a later product
-            C, rho = float(self.C), float(self.rho)
-        except (OverflowError, TypeError, ValueError):
-            C = rho = np.nan
+        C, rho = _float_or_nan(self.C), _float_or_nan(self.rho)  # past the float range: NaN
         if not (0 < C < np.inf and 0 < rho < np.inf):
             raise DomainError("certificate requires finite C > 0 and rho > 0")
         object.__setattr__(self, "C", C)
@@ -234,18 +239,25 @@ def rescale(W: WeightSequence, C: float, rho: float) -> WeightSequence:
 
 def _log_abs_one(c) -> float:
     try:
-        return np.log(abs(float(c)))
+        a = abs(float(c))
     except OverflowError:
         return log(abs(c.numerator)) - log(c.denominator)
+    return np.log(a) if a else -np.inf
 
 
 def _log_abs(coeffs: Sequence) -> np.ndarray:
-    """log|c| per coefficient, -inf at 0; an int or Fraction past the float range exactly."""
-    with np.errstate(divide="ignore"):
-        try:
-            return np.log(np.abs(np.asarray(coeffs, dtype=float)))
-        except OverflowError:  # log|numerator| - log(denominator) where float(c) overflows
-            return np.array([_log_abs_one(c) for c in coeffs])
+    """log|c| per coefficient: -inf at 0, NaN at NaN, exact past the float range."""
+    try:
+        a = np.abs(np.asarray(coeffs, dtype=float))
+    except OverflowError:  # log|numerator| - log(denominator) where float(c) overflows
+        return np.array([_log_abs_one(c) for c in coeffs])
+    if np.count_nonzero(a) == a.size:
+        return np.log(a)
+    zero = a == 0
+    a[zero] = 1.0  # no log(0): silencing its divide warning with np.errstate costs more
+    log_a = np.log(a)
+    log_a[zero] = -np.inf
+    return log_a
 
 
 def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
@@ -254,6 +266,7 @@ def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     Exact coefficients past the float range are taken in log space; C may be inf.  A zero
     coefficient's -inf drops out of the max (log M is finite); all zeros give exp(-inf) = 0.
     """
+    rho = _float_or_nan(rho)  # an exact rho reaches np.log as a float
     if not 0 < rho < np.inf:
         raise DomainError("rho must be positive and finite")
     log_f = _log_abs(coeffs)
@@ -263,5 +276,7 @@ def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     if W.k_max < n:
         raise DomainError("weight sequence does not cover the coefficient range")
     log_ratio = log_f - np.arange(n + 1.0) * np.log(rho) - _log_factorials(n) - W.log_M[: n + 1]
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.max(log_ratio)))
+    top = log_ratio.max()  # inf or NaN only from an inf or NaN coefficient
+    if not top < np.inf:
+        raise DomainError(f"non-finite coefficient at k={int(np.argmin(log_f < np.inf))}")
+    return float(np.exp(top)) if top <= _LOG_FLOAT_MAX else np.inf  # np.exp would warn

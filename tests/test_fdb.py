@@ -78,6 +78,34 @@ def loop_float_compose(f, g):
     return out
 
 
+def per_call_float_compose(f, g):
+    """Float compose_series as it filled its binomial weights W[m, :m] on every call, one
+    exact Pascal row at a time, before the weights came from one module table."""
+    n = min(f.order, g.order) - 1
+    fc, gc = list(map(float, f.coeffs[: n + 1])), list(map(float, g.coeffs[: n + 1]))
+    W = np.zeros((n + 1, n + 1))
+    for m, row in enumerate(fdb._pascal_rows(n - 1), 1):
+        W[m, :m] = row
+    r = np.arange(n + 1)
+    bell = np.eye(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        W *= np.array(gc)[r[:, None] - r]
+        for k in range(1, n + 1):
+            bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
+        out = (np.array(fc) @ bell).tolist()
+    out[0] = fc[0]
+    return tuple(out)
+
+
+def float_pair(n, seed=0):
+    """Normal f and g_k 16^-k times normal, so that f o g stays in the float range to order 500;
+    f o g has order n."""
+    rng = np.random.default_rng(seed)
+    f = TruncatedSeries(tuple(rng.normal(size=n + 2)))
+    g = TruncatedSeries((0.0,) + tuple(rng.normal(size=n + 1) * 2.0 ** (-4.0 * np.arange(1, n + 2))))
+    return f, g
+
+
 def loop_exact_compose(f, g):
     """The per-entry Python Bell loop compose_series ran on int and Fraction
     inputs before their denominators were cleared for the matrix-vector rows.
@@ -257,6 +285,12 @@ class TestCertificateMagnitudes:
                 TruncatedSeries(tuple(cs), certificate=MembershipCertificate(C, rho, W))
 
 
+    def test_exact_rho_is_read_as_float(self):
+        cs = (1, Fraction(-2, 3), 5.0, 10**20)
+        W = tabulate(lambda k: 0.3 * k, 10, name="w")
+        assert repr(fm_membership(cs, W, Fraction(1, 3))) == repr(fm_membership(cs, W, 1 / 3))
+
+
 class TestCompose:
     def test_bell_numbers_exact(self):
         n = 26
@@ -371,6 +405,8 @@ class TestCompose:
 
     def test_float_binomial_weight_past_float_range(self):
         # e^x o 2^-40 (e^x - 1) stays small, but C(1030, 515) > 1.8e308 is a weight of order 1100
+        compose_series(*float_pair(200))
+        table = fdb._binomials
         n = 1100
         f = TruncatedSeries(tuple([1.0] * (n + 2)))
         g = TruncatedSeries(tuple([0.0] + [2.0**-40] * (n + 1)))
@@ -378,6 +414,30 @@ class TestCompose:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="binomial weight .* passed the float range"):
                 compose_series(f, g)
+        # the failed growth publishes nothing
+        assert fdb._binomials is table and not table.flags.writeable
+        f, g = float_pair(200, seed=1)
+        assert repr(compose_series(f, g).coeffs) == repr(per_call_float_compose(f, g))
+
+    def test_float_binomial_table_grows_to_the_largest_order(self, monkeypatch):
+        monkeypatch.setattr(fdb, "_binomials", np.zeros((1, 1)))
+        tables = []
+        for n in (200, 11, 300, 160):
+            compose_series(*float_pair(n))
+            tables.append(fdb._binomials)
+        assert [t.shape for t in tables] == [(201, 201)] * 2 + [(301, 301)] * 2
+        assert tables[0] is tables[1] and tables[2] is tables[3]
+        assert not any(t.flags.writeable for t in tables)
+        for n in [*range(2, 13), 60, 160, 200, 500]:
+            f, g = float_pair(n, seed=n)
+            assert repr(compose_series(f, g).coeffs) == repr(per_call_float_compose(f, g)), n
+        assert fdb._binomials.shape == (501, 501)
+
+    def test_exact_coefficient_past_float_range_in_a_float_series(self):
+        f, g = TruncatedSeries((10**400, 1, 1, 1)), TruncatedSeries((0.0, 1.0, 1.0, 1.0))
+        for op in (compose_series, multiply_series):
+            with pytest.raises(DomainError, match="exact coefficient passed the float range"):
+                op(f, g)
 
     @pytest.mark.parametrize("n", [48, 200])
     @pytest.mark.parametrize(
@@ -629,6 +689,16 @@ class TestCompositionBound:
         assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
         assert calls == [12]
 
+    def test_constants_past_float_range_raise(self):
+        # tau = 1e300 (1 + 1e600) = inf and C* = inf / inf = NaN would make every slack NaN
+        cert = MembershipCertificate(1e300, 1e300, tabulate([0.0] * 5, 4))
+        f = TruncatedSeries((1.0, 1.0, 1.0, 1.0), certificate=cert)
+        g = TruncatedSeries((0.0, 1.0, 1.0, 1.0), certificate=cert)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"tau = inf, C\* = nan not finite"):
+                verify_composition_bound(f, g)
+
     def test_requires_certificates(self):
         f = TruncatedSeries((1, 1, 1))
         g = TruncatedSeries((0, 1, 1))
@@ -670,8 +740,11 @@ _CERTIFIED_ONES = TruncatedSeries((1, 1, 1, 1), certificate=MembershipCertificat
     (lambda: verify_composition_bound(_CERTIFIED_ONES, _CERTIFIED_ONES),
      "composition requires g_0 = 0"),
     (lambda: rescale(_W, 0.0, 1.0), "rescale requires C > 0 and rho > 0"),
+    (lambda: fm_membership([1.0, math.nan, 1.0], _W, 1.0), "non-finite coefficient at k=1"),
+    (lambda: fm_membership([1.0, 1.0, -math.inf], _W, 1.0), "non-finite coefficient at k=2"),
+    (lambda: fm_membership([1.0, 1.0], _W, 10**400), "rho must be positive and finite"),
 ], ids=["no coefficients", "past the prefix", "order-1 outer series", "certified g_0 != 0",
-        "zero rescale constant"])
+        "zero rescale constant", "NaN coefficient", "inf coefficient", "int rho past float"])
 def test_input_guard_raises_domain_error(call, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         call()
