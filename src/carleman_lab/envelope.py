@@ -241,19 +241,10 @@ def _exactly_convex(y: np.ndarray) -> bool:
     return bool(np.all(np.diff(y, 2) >= 0.0))
 
 
-def _min_plus_splits(a: np.ndarray, top=0.0) -> np.ndarray:
-    """Split j <= t // 2 maximising top_t - a_j - a_{t-j}, for each t < len(a).
+def _convex_floor(y: np.ndarray) -> np.ndarray:
+    """y when every second difference is >= 0 exactly, else its lower convex envelope.
 
-    That split minimises a_j + a_{t-j}.  When ``a`` is exactly convex (no eps),
-    j -> a_j + a_{t-j} is convex and symmetric about t/2, so it is t // 2;
-    otherwise an O(n^2) row search runs, in the caller's arithmetic
-    top_t - a_j - a_{t-j}, so that rounding picks the same split.
+    For a convex h <= y, j -> h_j + h_{t-j} is convex and symmetric about t/2, so
+    h_{t//2} + h_{t-t//2} <= min_j (y_j + y_{t-j}): the balanced split bounds every split.
     """
-    if _exactly_convex(a):
-        return np.arange(len(a)) // 2
-    top = np.broadcast_to(top, len(a))
-    splits = np.empty(len(a), dtype=np.intp)
-    for t in range(len(a)):
-        js = np.arange(t // 2 + 1)
-        splits[t] = np.argmax(top[t] - a[js] - a[t - js])
-    return splits
+    return y if _exactly_convex(y) else lower_convex_envelope(y).values

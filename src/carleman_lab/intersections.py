@@ -29,6 +29,7 @@ from .seqcore import (
     DerivedScales,
     DomainError,
     WeightSequence,
+    _LOG_FLOAT_MAX,
     _log_abs,
     log_factorial,
     rescale,
@@ -46,7 +47,6 @@ __all__ = [
 ]
 
 _MIN_BLOCKS = 3
-_LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -373,9 +373,8 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     moderate-growth statistic of Q (the factor 2 absorbs the binomial
     weights of the k!-rescaled statistic).  L must be weakly log-convex,
     dominate Q, and have L_0 = 1.  The min over j of log(j! L_j) +
-    log((k-j)! L_{k-j}) is taken at the balanced split j = k // 2 when
-    log(k! L_k) has every second difference >= 0 exactly; the weak
-    log-convexity check allows an eps, and inside it a row search runs.
+    log((k-j)! L_{k-j}) is bounded below at the balanced split j = k // 2 over the
+    convex floor of log(k! L_k) (envelope._convex_floor), equal when it is exactly convex.
     """
     mg = growth_diagnostic(Q, "moderate-growth")
     if not mg.holds:
@@ -392,8 +391,8 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
     log_C = np.log(2.0) + float(mg.margin)
     ks = np.arange(0, k_hi + 1)
     log_Lt = L.log_M[: k_hi + 1] + log_factorial(ks)
-    js = envelope._min_plus_splits(log_Lt)
-    out = ks * log_C + (log_Lt[js] + log_Lt[ks - js])
+    h = envelope._convex_floor(log_Lt)
+    out = ks * log_C + (h[ks // 2] + h[ks - ks // 2])
     out[0] = 0.0
     log_out = out - log_factorial(ks)
     _require_dominates(log_out, Q, "splitting majorant dropped below", 1e-9)

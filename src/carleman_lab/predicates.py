@@ -103,9 +103,9 @@ def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
     derivation-closed: sup_k (log M_{k+1} - log M_k) / k;
     moderate-growth:   sup_{j,k>=1} (log M_{j+k} - log M_j - log M_k) / (j+k).
 
-    The moderate-growth sup over j is taken at the balanced split j = s // 2
-    when log M_1..log M_{n-1} has every second difference >= 0 exactly, and
-    by an O(n^2) row search otherwise.
+    The moderate-growth sup over j is bounded above at the balanced split j = s // 2
+    over the convex floor h <= log M_1..log M_{n-1} (envelope._convex_floor), with
+    equality when log M itself has every second difference >= 0 exactly.
 
     Holds when the trace has PLATEAU_MIN_POINTS points or more and its last-decade
     rise is at most PLATEAU_EPS of its whole rise, else inconclusive; a finite
@@ -118,9 +118,8 @@ def growth_diagnostic(W: WeightSequence, mode: str) -> Verdict:
         stat = (logM[2:] - logM[1:-1]) / ks
     elif mode == "moderate-growth":
         s = np.arange(2, n + 1)
-        # splits of s = j + (s - j) over log M_1..log M_{n-1}, shifted to j >= 1
-        js = envelope._min_plus_splits(logM[1:n], top=logM[2:]) + 1
-        stat = (logM[s] - logM[js] - logM[s - js]) / s
+        h = envelope._convex_floor(logM[1:n])  # h[i] is the floor at k = i + 1
+        stat = (logM[s] - h[s // 2 - 1] - h[s - s // 2 - 1]) / s
     else:
         raise DomainError(f"unknown growth mode {mode!r}")
     run_sup = np.maximum.accumulate(stat)
@@ -170,13 +169,13 @@ class QuasiDiagnostic:
 def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     """Evaluate the four quasianalyticity criterion sums on the prefix in one pass.
 
-    A criterion is ``inconclusive`` when the least-squares slope of log term vs
-    log k over the last SLOPE_WINDOW_FRAC of the indices is NaN, ``divergent-trend``
-    when its partial sums still rise over the last decade (by more than
-    SUM_STALL_REL of the total) and that slope is >= -1 - SLOPE_SLACK, and
-    ``convergent-trend`` otherwise.  The summands underflow f64 for strongly
-    shifted families (terms like exp(-1e7/k)), so the partial sums are
-    accumulated as log S_N by a running logaddexp.
+    A criterion is ``inconclusive`` when the least-squares slope of log term vs log k
+    over the last SLOPE_WINDOW_FRAC of the indices is NaN or the last decade is one
+    term (k_max <= 2; one term never rises), ``divergent-trend`` when its partial sums
+    still rise over the last decade (by more than SUM_STALL_REL of the total) and that
+    slope is >= -1 - SLOPE_SLACK, and ``convergent-trend`` otherwise.  The summands
+    underflow f64 for strongly shifted families (terms like exp(-1e7/k)), so the
+    partial sums are accumulated as log S_N by a running logaddexp.
     """
     scales = DerivedScales.from_weight_sequence(W)
     n = W.k_max
@@ -199,7 +198,7 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     rising = [-np.expm1(s[i] - s[-1]) > SUM_STALL_REL for s in log_S]  # (S_N - S_i) / S_N
     bound = -1.0 - SLOPE_SLACK
     classes = tuple(
-        "inconclusive" if np.isnan(slope)  # the fit overflowed on log terms near 1e308
+        "inconclusive" if np.isnan(slope) or i == n - 1  # overflowed fit, or one-term decade
         else "divergent-trend" if r and slope >= bound
         else "convergent-trend"
         for r, slope in zip(rising, slopes)

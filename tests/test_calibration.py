@@ -1,7 +1,7 @@
 """Claims-calibration ratchet: the decisive verdicts that contradict the known truth, pinned.
 
-Grid: 19 family tokens and 7 synthetic inputs, each at the 9 prefix lengths of ``KS``,
-under the five ``check`` predicates (1170 verdicts).  A verdict asserts a property
+Grid: 19 family tokens and 7 synthetic inputs, each at the 10 prefix lengths of ``KS``,
+under the five ``check`` predicates (1300 verdicts).  A verdict asserts a property
 (``holds``, ``divergent-trend``) or its negation (``fails``, ``convergent-trend``);
 ``inconclusive`` asserts nothing and never contradicts.
 
@@ -31,7 +31,7 @@ from carleman_lab.seqcore import WeightSequence, log_factorial
 FAMILY_TOKENS = tuple(builtin_sequences(k_max=3)) + (
     "qhat:1:2", "p:0.3:2", "gevrey:0.01", "gevrey:0.05", "gevrey:0.1", "gevrey:0.2",
     "gevrey:0.3", "q:0.1:2")
-KS = (3, 5, 10, 20, 40, 100, 1000, 10_000, 30_000)
+KS = (2, 3, 5, 10, 20, 40, 100, 1000, 10_000, 30_000)
 
 # the property each decisive verdict asserts (True) or denies (False)
 ASSERTS = {"holds": True, "fails": False, "divergent-trend": True, "convergent-trend": False}
@@ -146,6 +146,7 @@ PINNED = {
     ('q18', 20, 'quasianalytic', 'convergent-trend'),
     ('q18p', 3, 'quasianalytic', 'convergent-trend'),
     ('q18p', 5, 'quasianalytic', 'convergent-trend'),
+    ('q:0.1:2', 2, 'log-convex', 'fails'),
     ('q:0.1:2', 3, 'log-convex', 'fails'),
     ('q:0.1:2', 5, 'log-convex', 'fails'),
     ('q:0.1:2', 10, 'log-convex', 'fails'),
@@ -155,6 +156,7 @@ PINNED = {
     ('q:0.1:2', 1000, 'log-convex', 'fails'),
     ('q:0.1:2', 10000, 'log-convex', 'fails'),
     ('q:0.1:2', 30000, 'log-convex', 'fails'),
+    ('q:0.1:2', 2, 'weakly-log-convex', 'fails'),
     ('q:0.1:2', 3, 'weakly-log-convex', 'fails'),
     ('q:0.1:2', 5, 'weakly-log-convex', 'fails'),
     ('q:0.1:2', 10, 'weakly-log-convex', 'fails'),
@@ -164,6 +166,7 @@ PINNED = {
     ('q:0.1:2', 1000, 'weakly-log-convex', 'fails'),
     ('q:0.1:2', 10000, 'weakly-log-convex', 'fails'),
     ('q:0.1:2', 30000, 'weakly-log-convex', 'fails'),
+    ('q:0.5:2', 2, 'log-convex', 'fails'),
     ('q:0.5:2', 3, 'log-convex', 'fails'),
     ('q:0.5:2', 5, 'log-convex', 'fails'),
     ('q:0.5:2', 10, 'log-convex', 'fails'),
@@ -173,6 +176,7 @@ PINNED = {
     ('q:0.5:2', 1000, 'log-convex', 'fails'),
     ('q:0.5:2', 10000, 'log-convex', 'fails'),
     ('q:0.5:2', 30000, 'log-convex', 'fails'),
+    ('q:0.5:2', 2, 'weakly-log-convex', 'fails'),
     ('q:0.5:2', 3, 'weakly-log-convex', 'fails'),
     ('q:0.5:2', 5, 'weakly-log-convex', 'fails'),
     ('q:0.5:2', 10, 'weakly-log-convex', 'fails'),
@@ -182,6 +186,7 @@ PINNED = {
     ('q:0.5:2', 1000, 'weakly-log-convex', 'fails'),
     ('q:0.5:2', 10000, 'weakly-log-convex', 'fails'),
     ('q:0.5:2', 30000, 'weakly-log-convex', 'fails'),
+    ('q:1:2', 2, 'log-convex', 'fails'),
     ('q:1:2', 3, 'log-convex', 'fails'),
     ('q:1:2', 5, 'log-convex', 'fails'),
     ('q:1:2', 10, 'log-convex', 'fails'),
@@ -191,6 +196,7 @@ PINNED = {
     ('q:1:2', 1000, 'log-convex', 'fails'),
     ('q:1:2', 10000, 'log-convex', 'fails'),
     ('q:1:2', 30000, 'log-convex', 'fails'),
+    ('q:1:2', 2, 'weakly-log-convex', 'fails'),
     ('q:1:2', 3, 'weakly-log-convex', 'fails'),
     ('q:1:2', 5, 'weakly-log-convex', 'fails'),
     ('q:1:2', 10, 'weakly-log-convex', 'fails'),
@@ -200,6 +206,7 @@ PINNED = {
     ('q:1:2', 1000, 'weakly-log-convex', 'fails'),
     ('q:1:2', 10000, 'weakly-log-convex', 'fails'),
     ('q:1:2', 30000, 'weakly-log-convex', 'fails'),
+    ('q:1:3', 2, 'log-convex', 'fails'),
     ('q:1:3', 3, 'log-convex', 'fails'),
     ('q:1:3', 5, 'log-convex', 'fails'),
     ('q:1:3', 10, 'log-convex', 'fails'),
@@ -209,6 +216,7 @@ PINNED = {
     ('q:1:3', 1000, 'log-convex', 'fails'),
     ('q:1:3', 10000, 'log-convex', 'fails'),
     ('q:1:3', 30000, 'log-convex', 'fails'),
+    ('q:1:3', 2, 'weakly-log-convex', 'fails'),
     ('q:1:3', 3, 'weakly-log-convex', 'fails'),
     ('q:1:3', 5, 'weakly-log-convex', 'fails'),
     ('q:1:3', 10, 'weakly-log-convex', 'fails'),
@@ -229,6 +237,6 @@ def test_contradictions_match_the_pinned_list():
             verdicts += 1
             if predicate in truth and outcome in ASSERTS and ASSERTS[outcome] != truth[predicate]:
                 found.add((name, K, predicate, outcome))
-    assert verdicts == len(KS) * (len(FAMILY_TOKENS) + len(SYNTHETIC)) * 5 == 1170
+    assert verdicts == len(KS) * (len(FAMILY_TOKENS) + len(SYNTHETIC)) * 5 == 1300
     assert sorted(found - PINNED) == [], "new contradictions"
     assert sorted(PINNED - found) == [], "mended: delete these lines from PINNED"

@@ -288,14 +288,30 @@ class TestLPrime:
         L = rescale(make_family(FamilySpec("gevrey", s=1.0), k_max=5000), 1.0, 2.0)
         return Q, L.with_name("L")
 
-    def test_matches_row_loop(self, setup, trace, weak_trace):
+    def test_against_row_loop(self, setup, trace, weak_trace):
         Q, L = setup
-        # 2 gevrey:1 and the strong majorant are exactly convex in the k!
-        # basis (balanced split); the weak majorant is a hull whose collinear
-        # runs round to negative second differences (row search)
+        # 2 gevrey:1 and the strong majorant are exactly convex in the k! basis,
+        # and L' matches the row search bit for bit; the weak majorant is a hull
+        # whose collinear runs round to negative second differences, and L' over
+        # its convex floor is a lower bound that still splits and dominates Q
+        log_C = np.log(2.0) + float(growth_diagnostic(Q, "moderate-growth").margin)
         for M in (L, trace.output_rescaled, weak_trace.output_rescaled):
-            lp = lprime_construction(Q, M)
-            assert np.array_equal(lp.log_M, row_loop_lprime(Q, M)), M.name
+            lp, oracle = lprime_construction(Q, M).log_M, row_loop_lprime(Q, M)
+            ks = np.arange(0, len(lp), dtype=float)
+            log_Mt = M.log_M[: len(lp)] + log_factorial(ks)
+            if M is not weak_trace.output_rescaled:
+                assert np.all(np.diff(log_Mt, 2) >= 0.0), M.name
+                assert np.array_equal(lp, oracle), M.name
+                continue
+            assert np.any(np.diff(log_Mt, 2) < 0.0)
+            assert np.all(lp <= oracle + 1e-14 * np.maximum(1.0, np.abs(oracle)))
+            # L'_{j+k} <= C^{j+k} L~_j L~_k for every split, in the k! basis
+            lpt = lp + log_factorial(ks)
+            for j in range(len(lp)):
+                k = np.arange(0, len(lp) - j)
+                bound = (j + k) * log_C + log_Mt[j] + log_Mt[k]
+                assert np.all(lpt[j + k] <= bound + 1e-14 * np.maximum(1.0, np.abs(bound))), j
+            assert np.all(lp >= Q.log_M[: len(lp)] - 1e-9)
 
     def test_even_odd_closed_forms(self, setup):
         Q, L = setup

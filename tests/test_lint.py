@@ -3,8 +3,9 @@
 Every top-level import of a module in src/carleman_lab is read somewhere in it
 (or re-exported through ``__all__``), every name in ``__all__`` is bound,
 every private top-level function, class or assigned name is referenced by some
-module, every name a submodule exports is re-exported by the package or
-referenced by some module, and no function body imports anything.
+module, no top-level name is bound in two modules, every name a submodule exports
+is re-exported by the package or referenced by some module, and no function body
+imports anything.
 """
 
 import ast
@@ -90,6 +91,17 @@ def test_no_dead_private_helpers():
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_no_top_level_name_bound_in_two_modules():
+    where = {}  # name -> {module file: line of a binding}
+    for path in MODULES:
+        for name, lineno in _top_level_bindings(ast.parse(path.read_text(), filename=str(path))):
+            if name != "__all__":
+                where.setdefault(name, {})[path.name] = lineno
+    twice = {name: sorted(f"{m}:{line}" for m, line in mods.items())
+             for name, mods in where.items() if len(mods) > 1}
+    assert not twice, f"top-level names bound in more than one module: {twice}"
 
 
 def test_no_public_name_without_a_caller():
