@@ -138,16 +138,20 @@ class WeightSequence:
         missing = [key for key in ("name", "k_min", "log_M") if key not in d]
         if missing:
             raise DomainError(f"weight-sequence document has no {', '.join(missing)}")
+        if type(d["k_min"]) not in (int, float) or d["k_min"] != 0:  # not int(): 0.5 and "0" are not 0
+            raise DomainError(f"a weight sequence is tabulated from k = 0, got k_min {d['k_min']!r}")
         try:
-            k_min, log_M = int(d["k_min"]), np.asarray(d["log_M"], dtype=float)
+            log_M = np.asarray(d["log_M"], dtype=float)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"k_min and log_M must be numeric: {exc}") from None
+            raise DomainError(f"log_M must be numeric: {exc}") from None
+        if log_M.ndim != 1:
+            raise DomainError(f"log_M must be one-dimensional, got shape {log_M.shape}")
         if not isinstance(d["name"], str):
             raise DomainError(f"name must be a string, got {d['name']!r}")
         claims = d.get("claims", [])
         if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
             raise DomainError(f"claims must be a list of strings, got {claims!r}")
-        W = cls(d["name"], k_min, log_M, frozenset(claims))
+        W = cls(d["name"], 0, log_M, frozenset(claims))
         if d.get("k_max", W.k_max) != W.k_max:
             raise DomainError(f"k_max {d['k_max']!r} disagrees with {W.k_max + 1} log_M entries")
         return W

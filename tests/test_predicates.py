@@ -64,9 +64,13 @@ class TestVerdict:
     def test_report_schema(self):
         v = Verdict("holds", margin=0.5, statistic_trace=np.array([1.0, 2.0]))
         rep = v.to_report("log-convex")
-        assert set(rep) == {"predicate", "verdict", "witness_k", "margin", "statistic_trace"}
+        assert set(rep) == {"predicate", "verdict", "witness_k", "margin"}
         assert rep["verdict"] == "holds"
-        assert rep["statistic_trace"] == [1.0, 2.0]
+        traced = v.to_report("log-convex", trace=True)
+        assert set(traced) == {"predicate", "verdict", "witness_k", "margin", "statistic_trace"}
+        assert traced["statistic_trace"] == [1.0, 2.0]
+        assert {k: x for k, x in traced.items() if k != "statistic_trace"} == rep
+        assert Verdict("holds").to_report("log-convex", trace=True)["statistic_trace"] == []
 
 
 class TestLogConvexity:

@@ -194,8 +194,30 @@ class TestSerialization:
     def test_from_dict_rejects_non_numeric_log_M(self):
         d = tabulate(lambda k: float(k), 4).to_dict()
         d["log_M"][2] = "two"
-        with pytest.raises(DomainError, match=r"^k_min and log_M must be numeric: .*'two'"):
+        with pytest.raises(DomainError, match=r"^log_M must be numeric: .*'two'"):
             WeightSequence.from_dict(d)
+
+    @pytest.mark.parametrize("k_min", [0.5, "0", -0.25, 1, True, None, float("nan")])
+    def test_from_dict_rejects_a_k_min_that_is_not_zero(self, k_min):
+        # int() would read 0.5 and "0" as 0 and accept the document
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["k_min"] = k_min
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == f"a weight sequence is tabulated from k = 0, got k_min {k_min!r}"
+
+    def test_from_dict_reads_a_float_zero_k_min(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        d["k_min"] = 0.0
+        assert WeightSequence.from_dict(d).k_min == 0
+
+    def test_from_dict_rejects_a_two_dimensional_log_M(self):
+        d = tabulate(lambda k: float(k), 4).to_dict()
+        del d["k_max"]
+        d["log_M"] = [[0, 1], [2, 3], [4, 5]]
+        with pytest.raises(DomainError) as info:
+            WeightSequence.from_dict(d)
+        assert str(info.value) == "log_M must be one-dimensional, got shape (3, 2)"
 
     def test_from_dict_rejects_a_k_max_that_disagrees_with_log_M(self):
         d = tabulate(lambda k: float(k), 4).to_dict()
