@@ -12,7 +12,7 @@ Output is deterministic: keys are sorted and floats are rendered with 17
 significant digits, so identical invocations yield byte-identical output.
 Sequence-valued commands can feed a predicate with ``--then``, e.g.
 ``carleman-lab checkseq --family q18pp --then check log-convex``. ``check`` and
-``compare`` reports leave out the O(K) ``statistic_trace`` unless ``--trace`` is given.
+``compare`` do not print the O(K) statistic trace; it stays on the ``Verdict``.
 """
 
 from __future__ import annotations
@@ -130,9 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def out(sp):
         sp.add_argument("--out", default=None, help="write two-column (k, value) plot data")
 
-    def trace(sp):
-        sp.add_argument("--trace", action="store_true", help="add the O(K) statistic_trace to the report")
-
     def sequence(name, help, build):  # a sequence-valued command: JSON or CSV, and plot data
         sp = sub.add_parser(name, help=help)
         sp.set_defaults(build=build)
@@ -154,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_check)
     sp.add_argument("predicate", choices=CHECK_PREDICATES)
     common(sp, family_required=False)
-    trace(sp)
 
     sp = sequence("compose", help="compose two families (M o L)", build=_compose)
     sp.add_argument("--with", dest="other", required=True, help="inner family token")
@@ -162,7 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("compare", help="inclusion diagnostic F^A subseteq F^B")
     sp.set_defaults(handler=_cmd_compare)
     common(sp)
-    trace(sp)
     sp.add_argument("--with", dest="other", required=True, help="right-hand family token")
 
     sp = sub.add_parser("majorant", help="separating majorant over a family")
@@ -199,9 +194,9 @@ def _emit_sequence(W: WeightSequence, args) -> None:
         print(dumps(W.to_dict()))
 
 
-def _report(v, name: str, trace: bool) -> int:
-    """Print a predicate's report (its statistic trace if ``trace``) and return its exit code."""
-    print(dumps(v.to_report(name, trace)))
+def _report(v, name: str) -> int:
+    """Print a predicate's report and return the exit code of its outcome."""
+    print(dumps(v.to_report(name)))
     return _EXIT[v.outcome]
 
 
@@ -247,12 +242,12 @@ def _cmd_families(args, kmax: int) -> int:
 def _cmd_check(args, kmax: int) -> int:
     if args.family is None:
         raise DomainError("check needs --family or a --then pipeline")
-    return _report(_PREDICATES[args.predicate](_family(args.family, kmax)), args.predicate, args.trace)
+    return _report(_PREDICATES[args.predicate](_family(args.family, kmax)), args.predicate)
 
 
 def _cmd_compare(args, kmax: int) -> int:
     A, B = _family(args.family, kmax), _family(args.other, kmax)
-    return _report(predicates.inclusion_diagnostic(A, B), f"inclusion({A.name},{B.name})", args.trace)
+    return _report(predicates.inclusion_diagnostic(A, B), f"inclusion({A.name},{B.name})")
 
 
 def _cmd_majorant(args, kmax: int) -> int:
@@ -332,7 +327,7 @@ def run(argv: list[str]) -> int:
                 raise DomainError("--then only chains into check")
             if then_args.family is not None or then_args.kmax is not None:
                 raise DomainError("--family and --kmax must come before --then")
-            return _report(_PREDICATES[then_args.predicate](W), then_args.predicate, then_args.trace)
+            return _report(_PREDICATES[then_args.predicate](W), then_args.predicate)
         _emit_sequence(W, args)
         return EXIT_OK
     except (DomainError, OSError, MemoryError) as e:

@@ -60,13 +60,10 @@ class Verdict:
     def holds(self) -> bool:
         return self.outcome == "holds"
 
-    def to_report(self, predicate: str, trace: bool = False) -> dict:
-        """The JSON report; the O(K) ``statistic_trace`` only when ``trace`` is set."""
-        report = {"predicate": predicate, "verdict": self.outcome, "margin": float(self.margin),
-                  "witness_k": None if self.witness_k is None else int(self.witness_k)}
-        if trace:
-            report["statistic_trace"] = [] if self.statistic_trace is None else self.statistic_trace.tolist()
-        return report
+    def to_report(self, predicate: str) -> dict:
+        """The JSON report; the O(K) ``statistic_trace`` stays on the object."""
+        return {"predicate": predicate, "verdict": self.outcome, "margin": float(self.margin),
+                "witness_k": None if self.witness_k is None else int(self.witness_k)}
 
 
 def is_log_convex(W: WeightSequence, weak: bool = False) -> Verdict:
@@ -149,8 +146,8 @@ class QuasiDiagnostic:
     def outcome(self) -> str:
         return self.classification
 
-    def to_report(self, predicate: str, trace: bool = False) -> dict:
-        return {**self.to_dict(), "predicate": predicate}  # no O(K) trace to add
+    def to_report(self, predicate: str) -> dict:
+        return {**self.to_dict(), "predicate": predicate}
 
     def to_dict(self) -> dict:
         return {

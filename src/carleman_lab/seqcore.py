@@ -94,10 +94,12 @@ class WeightSequence:
 
     def __post_init__(self):
         arr = np.asarray(self.log_M, dtype=float)
-        if arr.ndim != 1 or arr.size < 3:
+        if arr.ndim != 1:
+            raise DomainError(f"log_M must be one-dimensional, got shape {arr.shape}")
+        if arr.size < 3:
             raise DomainError("a weight sequence needs at least 3 tabulated entries")
-        if self.k_min != 0:
-            raise DomainError("a weight sequence is tabulated from k = 0")
+        if self.k_min != 0:  # also rejects 0.5 and "0", which int() would read as 0
+            raise DomainError(f"a weight sequence is tabulated from k = 0, got k_min {self.k_min!r}")
         if not np.all(np.isfinite(arr)):
             raise DomainError(f"non-finite log M at k={int(np.argmax(~np.isfinite(arr)))}")
         unknown = set(self.claims) - set(KNOWN_CLAIMS)
@@ -138,20 +140,16 @@ class WeightSequence:
         missing = [key for key in ("name", "k_min", "log_M") if key not in d]
         if missing:
             raise DomainError(f"weight-sequence document has no {', '.join(missing)}")
-        if type(d["k_min"]) not in (int, float) or d["k_min"] != 0:  # not int(): 0.5 and "0" are not 0
-            raise DomainError(f"a weight sequence is tabulated from k = 0, got k_min {d['k_min']!r}")
         try:
             log_M = np.asarray(d["log_M"], dtype=float)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"log_M must be numeric: {exc}") from None
-        if log_M.ndim != 1:
-            raise DomainError(f"log_M must be one-dimensional, got shape {log_M.shape}")
         if not isinstance(d["name"], str):
             raise DomainError(f"name must be a string, got {d['name']!r}")
         claims = d.get("claims", [])
         if not isinstance(claims, list) or not all(isinstance(c, str) for c in claims):
             raise DomainError(f"claims must be a list of strings, got {claims!r}")
-        W = cls(d["name"], 0, log_M, frozenset(claims))
+        W = cls(d["name"], d["k_min"], log_M, frozenset(claims))
         if d.get("k_max", W.k_max) != W.k_max:
             raise DomainError(f"k_max {d['k_max']!r} disagrees with {W.k_max + 1} log_M entries")
         return W

@@ -138,7 +138,7 @@ class TestDeterminism:
     def test_cli_digest_lines(self):
         # tests/cli_digest.py hashes what each command of its grid prints, in process
         grid = cli_digest.grid()
-        assert len(grid) == 2926
+        assert len(grid) == 2602
         for argv in (["compose", "--family", "q:1:3", "--with", "gevrey:1", "--kmax", "11"],
                      ["seq", "--family", "q18", "--kmax", "11", "--format", "csv"],
                      ["fdb", "bound", "--order", "501"]):
@@ -263,55 +263,15 @@ class TestPipelines:
         assert r.stderr == "error: --family and --kmax must come before --then\n"
 
 
-def _reports(token, kmax):
-    """The six report commands on one family: the five ``check`` predicates and ``compare``."""
-    common = ["--family", token, "--kmax", str(kmax)]
-    return [["check", p, *common] for p in cli.CHECK_PREDICATES] + [
-        ["compare", *common, "--with", "gevrey:1"]]
-
-
-class TestTrace:
-    """``--trace`` adds the O(K) statistic trace to a check or compare report, and nothing else."""
-
-    @pytest.mark.parametrize("token", ["q18", "gevrey:1", "q:1:2", "q:1:3"])
-    def test_trace_adds_only_the_trace(self, token, capsys):
-        pipeline = ["checkseq", "--family", token, "--kmax", "300", "--then", "check", "derivation-closed"]
-        for argv in _reports(token, 300) + [pipeline]:
-            code = cli.run(argv)
-            plain = capsys.readouterr()
-            assert cli.run(argv + ["--trace"]) == code
-            traced = capsys.readouterr()
-            assert traced.err == plain.err
-            if code == 3:  # gevrey:1 has m_1 <= 1, so it has no check sequence
-                assert traced.out == plain.out == ""
-                continue
-            plain, traced = json.loads(plain.out), json.loads(traced.out)
-            assert "statistic_trace" not in plain
-            if argv[:2] == ["check", "quasianalytic"]:  # a QuasiDiagnostic has no trace to add
-                assert traced == plain
-                continue
-            trace = traced.pop("statistic_trace")  # empty for the log-convexity predicates
-            assert traced == plain
-            assert len(trace) == 0 if "log-convex" in argv[1] else len(trace) > 0
-
-    @pytest.mark.parametrize("argv", [
-        ["seq", "--family", "q18", "--kmax", "50"],
-        ["seq", "--family", "q18", "--kmax", "50", "--then", "check", "log-convex"],
-        ["majorant", "--family", "q18", "--kmax", "200", "--marked", "10,40"],
-        ["fdb", "bell", "--order", "5"],
-        ["families"],
-    ])
-    def test_other_commands_reject_trace(self, argv, capsys):
-        head = argv[: argv.index("--then")] if "--then" in argv else argv
-        argv = head + ["--trace"] + argv[len(head):]
-        assert cli.run(argv) == 3
-        out, err = capsys.readouterr()
-        assert out == "" and "unrecognized arguments: --trace" in err
+class TestReports:
+    """A ``check`` or ``compare`` report holds no O(K) field; the statistic trace stays on the Verdict."""
 
     @pytest.mark.parametrize("token", ["q18", "q18pp", "gevrey:1", "q:1:2"])
-    def test_default_reports_stay_small_at_1e4(self, token, capsys):
-        # a default report holds no O(K) field: at K = 10^4 the trace alone is ~200 KB
-        for argv in _reports(token, 10_000):
+    def test_reports_stay_small_at_1e4(self, token, capsys):
+        # at K = 10^4 a statistic trace alone is ~200 KB
+        common = ["--family", token, "--kmax", "10000"]
+        reports = [["check", p, *common] for p in cli.CHECK_PREDICATES]
+        for argv in reports + [["compare", *common, "--with", "gevrey:1"]]:
             cli.run(argv)
             out, err = capsys.readouterr()
             assert err == "" and len(out.encode()) < 2048, argv
@@ -461,7 +421,6 @@ def marked(kmax):
     ).map(lambda ks: ",".join(map(str, ks)))
 
 
-TRACE = st.sampled_from([[], ["--trace"]])
 OUT = "<plot file>"  # replaced by a path in a fresh temporary directory
 
 
@@ -493,13 +452,11 @@ def argvs(draw):
         argv += draw(st.sampled_from([[], ["--weak"]])) + fmt
     else:
         argv = [command] + family + fmt + draw(st.sampled_from([[], ["--weak"]]))
-    argv += draw(TRACE)  # only check and compare take --trace
     if draw(st.booleans()):
         argv += ["--then", "check", draw(st.sampled_from(cli.CHECK_PREDICATES))]
         argv += draw(st.sampled_from(
             [[], ["--family", draw(TOKENS)], ["--kmax", str(draw(st.integers(-3, 400)))]]
         ))
-        argv += draw(TRACE)
     return argv
 
 
@@ -620,10 +577,12 @@ class TestWritersAgainstOracles:
                                          for t in ("qhat:1:2", "p:0.3:2")}
         for mode in ("derivation-closed", "moderate-growth"):
             for V in W.values():
-                report = predicates.growth_diagnostic(V, mode).to_report(mode, trace=True)
-                assert cli.dumps(report) == dumps_oracle(report)
-        report = predicates.inclusion_diagnostic(W["q18"], W["gevrey:1"]).to_report("inclusion", trace=True)
-        assert cli.dumps(report) == dumps_oracle(report)
+                v = predicates.growth_diagnostic(V, mode)
+                for payload in (v.to_report(mode), {"t": v.statistic_trace.tolist()}):
+                    assert cli.dumps(payload) == dumps_oracle(payload)
+        v = predicates.inclusion_diagnostic(W["q18"], W["gevrey:1"])
+        for payload in (v.to_report("inclusion"), {"t": v.statistic_trace.tolist()}):
+            assert cli.dumps(payload) == dumps_oracle(payload)
 
     def test_dumps_float_runs(self):
         rng = np.random.default_rng(5)

@@ -46,6 +46,12 @@ class TestWeightSequence:
         with pytest.raises(DomainError):
             WeightSequence("neg", -1, np.zeros(5))
 
+    def test_rejects_a_two_dimensional_log_M(self):
+        # its own message, not "needs at least 3 tabulated entries"
+        with pytest.raises(DomainError) as info:
+            WeightSequence("x", 0, [[0, 1], [2, 3], [4, 5]])
+        assert str(info.value) == "log_M must be one-dimensional, got shape (3, 2)"
+
     def test_rejects_unknown_claims(self):
         with pytest.raises(DomainError):
             WeightSequence("c", 0, np.zeros(4), claims=frozenset({"sparkly"}))
@@ -206,10 +212,12 @@ class TestSerialization:
             WeightSequence.from_dict(d)
         assert str(info.value) == f"a weight sequence is tabulated from k = 0, got k_min {k_min!r}"
 
-    def test_from_dict_reads_a_float_zero_k_min(self):
+    @pytest.mark.parametrize("k_min", [0.0, np.int64(0), np.float64(0.0)])
+    def test_from_dict_reads_a_zero_k_min(self, k_min):
         d = tabulate(lambda k: float(k), 4).to_dict()
-        d["k_min"] = 0.0
-        assert WeightSequence.from_dict(d).k_min == 0
+        d["k_min"] = k_min
+        W = WeightSequence.from_dict(d)
+        assert W.k_min == 0 and W.to_dict()["k_min"] == 0
 
     def test_from_dict_rejects_a_two_dimensional_log_M(self):
         d = tabulate(lambda k: float(k), 4).to_dict()
