@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from itertools import chain
 from math import isfinite
@@ -32,6 +31,7 @@ from . import envelope, families, fdb, intersections, predicates
 __all__ = ["main", "run"]
 
 DEFAULT_KMAX = 2000
+MAX_COMPOSE_K = 500  # the cap of fdb --order: compose_series is O(n^3), whatever the weights
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -103,22 +103,10 @@ def _finite_floats(vals) -> str | None:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _default_kmax() -> int:
-    env = os.environ.get("CARLEMAN_KMAX")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"CARLEMAN_KMAX must be an integer, got {env!r}")
-    return DEFAULT_KMAX
-
-
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="carleman-lab",
         description="computable calculus of Denjoy-Carleman weight sequences",
-        epilog="environment: CARLEMAN_KMAX overrides the default tabulation length "
-        f"({DEFAULT_KMAX})",
     )
     p.set_defaults(build=None)  # a sequence-valued command sets build, every other one handler
     sub = p.add_subparsers(dest="command", required=True)
@@ -273,8 +261,8 @@ def _cmd_fdb(args, kmax: int) -> int:
     n = args.order
     if n < 2:
         raise DomainError("--order must be at least 2")
-    if n > envelope.MAX_COMPOSE_K:  # compose_series is O(n^3), whatever the weights
-        raise DomainError(f"--order capped at {envelope.MAX_COMPOSE_K} (O(n^3) series composition)")
+    if n > MAX_COMPOSE_K:
+        raise DomainError(f"--order capped at {MAX_COMPOSE_K} (O(n^3) series composition)")
     f = fdb.TruncatedSeries(tuple([1] * (n + 2)))
     g = fdb.TruncatedSeries(tuple([0] + [1] * (n + 1)))
     if args.mode == "bell":
@@ -312,9 +300,9 @@ def run(argv: list[str]) -> int:
             raise DomainError("--then follows only seq, checkseq, minorant or compose")
         if tail is not None and (args.format is not None or args.out is not None):
             raise DomainError("--format and --out do not apply to a --then pipeline")
-        kmax = vars(args).get("kmax", DEFAULT_KMAX)  # families and fdb take no --kmax
+        kmax = vars(args).get("kmax")  # families and fdb take no --kmax
         if kmax is None:
-            kmax = _default_kmax()
+            kmax = DEFAULT_KMAX
         if args.build is None:
             return args.handler(args, kmax)
         W = args.build(args, kmax)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .seqcore import (
     DerivedScales,
@@ -32,7 +31,8 @@ __all__ = [
     "compose_sequences",
 ]
 
-MAX_COMPOSE_K = 500
+# the hull gaps compose_sequences absorbs, per unit of max(1, |(M o L)_k|): DECISIONS.md §7
+_COMPOSE_SLACK = 256 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -191,15 +191,14 @@ def uncheck_sequence(Wc: WeightSequence) -> WeightSequence:
 
 
 def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> WeightSequence:
-    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k = 0..n.
+    """(M o L)_k = max over compositions alpha of k of M_j L_{a_1} ... L_{a_j}, k = 0..n, in O(n).
 
-    Two forms.  If log M_1..log M_n and log L_1..log L_n both have every second difference
-    >= 0 exactly, Karamata's inequality puts the best j parts of k at (k-j+1, 1, ..., 1),
-    and log M_j + log L_{k-j+1} + (j-1) log L_1 is convex in j, so the maximum lies at
-    j = 1 or j = k: two O(n) rows, for any n.  Any other pair takes the max-plus DP, capped
-    at n <= MAX_COMPOSE_K: one loop over the number of parts j folds log M_j + G_j[k] into a
-    running maximum, G_j[k] = max_a log L_a + G_{j-1}[k - a], O(n^3) in all (q:1:3 o
-    gevrey:1: about 31 / 124 ms at n = 300 / 500, 2-core x86_64 host).
+    lo_k, the larger of the j = 1 and j = k candidates, is a composition, so lo <= M o L.
+    Let gap_M and gap_L be how far log M and log L rise above their convex hulls on 1..n.
+    On the hull pair the best j parts of k are (k-j+1, 1, ..., 1) (Karamata) and the best j
+    is an end, where the hulls are <= lo_k; each part adds at most its gap, so M o L <= lo +
+    gap_M + k gap_L.  lo is returned when that width is within _COMPOSE_SLACK max(1, |lo_k|)
+    at every k, else DomainError (DECISIONS.md §7).  An exactly convex side builds no hull.
     """
     if k_max_out < 2:
         raise DomainError("k_max_out must be at least 2")
@@ -208,31 +207,18 @@ def compose_sequences(M: WeightSequence, L: WeightSequence, k_max_out: int) -> W
     n = k_max_out
     logL = L.log_M[: n + 1]
     logM = M.log_M[: n + 1]
-    out = np.full(n + 1, -np.inf)
+    out = np.empty(n + 1)
     out[0] = logM[0]
-    convex_L = _exactly_convex(logL[1:])
-    if convex_L and _exactly_convex(logM[1:]):
-        # the j = 1 and j = k candidates, rounded as in the Karamata form
-        c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
-        out[1:] = np.maximum((logL[1:] + c[0]) + logM[1], (logL[1] + c) + logM[1:])
-        return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
-    if n > MAX_COMPOSE_K:
-        which = "log M" if convex_L else "log L"
-        raise DomainError(
-            f"k_max_out capped at {MAX_COMPOSE_K} unless log M and log L are both convex on "
-            f"1..{n}; {which} is not"
-        )
-    # after pass j, G[k] for k >= j is the max over alpha in N_{>0}^j with
-    # sum alpha = k of sum log L_{a_i}
-    G = np.full(n + 1, -np.inf)
-    G[0] = 0.0
-    for j in range(1, n + 1):
-        N = n - j + 1
-        # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
-        # a = N .. 1, padded with -inf where k - a < j - 1
-        prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
-        G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
-        out[j:] = np.maximum(out[j:], logM[j] + G[j:])
+    # the j = 1 and j = k candidates, rounded as in the Karamata form
+    c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
+    out[1:] = np.maximum((logL[1:] + c[0]) + logM[1], (logL[1] + c) + logM[1:])
+    gap_M, gap_L = _hull_gap(logM[1:]), _hull_gap(logL[1:])
+    if gap_M or gap_L:
+        excess = gap_M + np.arange(1, n + 1) * gap_L - _COMPOSE_SLACK * np.maximum(1.0, np.abs(out[1:]))
+        k = int(np.argmax(excess)) + 1
+        if excess[k - 1] > 0.0:
+            which, gap = ("log M", gap_M) if gap_M >= k * gap_L else ("log L", gap_L)
+            raise DomainError(f"{which} is not convex on 1..{n}: it rises {gap:.3g} above its convex hull")
     return WeightSequence(name=f"({M.name} o {L.name})", k_min=0, log_M=out)
 
 
@@ -248,3 +234,9 @@ def _convex_floor(y: np.ndarray) -> np.ndarray:
     h_{t//2} + h_{t-t//2} <= min_j (y_j + y_{t-j}): the balanced split bounds every split.
     """
     return y if _exactly_convex(y) else lower_convex_envelope(y).values
+
+
+def _hull_gap(y: np.ndarray) -> float:
+    """max(y - h) over h = _convex_floor(y): 0.0, with no hull built, when y is exactly convex."""
+    h = _convex_floor(y)
+    return 0.0 if h is y else float(np.max(y - h))

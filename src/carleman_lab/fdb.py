@@ -182,6 +182,8 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
     tau = rho_g (1 + rho_f C_g) and C* = rho_f C_f C_g / (1 + rho_f C_g) are
     the constants produced by the composition estimate; the bound is asserted
     for k >= 1 (the k = 0 coefficient is not covered by the estimate).
+    log M and log L must be convex on 1..N to within compose_sequences' rounding
+    slack; otherwise its DomainError is raised.
     Returns a report with per-k log-space slack.  The last M o L is reused
     while both certificate sequences are the same (frozen) objects at the same
     n (one entry, which keeps M, L and M o L alive): a loop like acceptance

@@ -1,10 +1,12 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from carleman_lab import envelope
 from carleman_lab.envelope import (
@@ -345,13 +347,33 @@ def double_loop_compose(M, L, n):
     return out
 
 
+def window_dp_compose(M, L, n):
+    """The O(n^3) max-plus DP with one loop over the number of parts j: pass j folds
+    log M_j + G_j[k] into a running maximum, G_j[k] = max_a log L_a + G_{j-1}[k - a]."""
+    logL = L.log_M[: n + 1]
+    logM = M.log_M[: n + 1]
+    out = np.full(n + 1, -np.inf)
+    out[0] = logM[0]
+    # after pass j, G[k] for k >= j is the max over alpha in N_{>0}^j with
+    # sum alpha = k of sum log L_{a_i}
+    G = np.full(n + 1, -np.inf)
+    G[0] = 0.0
+    for j in range(1, n + 1):
+        N = n - j + 1
+        # row t = k - j pairs G[k - a] of pass j - 1 with log L_a for
+        # a = N .. 1, padded with -inf where k - a < j - 1
+        prev = np.concatenate((np.full(N - 1, -np.inf), G[j - 1 : n]))
+        G[j:] = np.max(sliding_window_view(prev, N) + logL[N:0:-1], axis=1)
+        out[j:] = np.maximum(out[j:], logM[j] + G[j:])
+    return out
+
+
 def karamata_compose(M, L, n):
     """The O(n^2) Karamata form for log-convex L: every candidate j of every k in one array."""
     logL, logM = L.log_M[: n + 1], M.log_M[: n + 1]
     c = np.concatenate(([0.0], np.add.accumulate(np.full(n - 1, logL[1]))))
     # row j - 1, column k - 1 holds log L_{k-j+1}, or -inf where k < j
-    parts = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
+    parts = sliding_window_view(np.concatenate((np.full(n - 1, -np.inf), logL[1:])), n)[::-1]
     cand = parts + c[:, None]
     cand += logM[1:, None]
     return np.concatenate(([logM[0]], cand.max(axis=0)))
@@ -361,18 +383,63 @@ def exactly_convex(y):
     return bool(np.all(np.diff(y, 2) >= 0.0))
 
 
+def hull_gap(y):
+    """max(y - h) over the lower convex envelope h of y; 0 when y is exactly convex."""
+    return 0.0 if exactly_convex(y) else float(np.max(y - lower_convex_envelope(y).values))
+
+
+def assert_bounds_or_names_a_side(M, L, n, want):
+    """compose_sequences returns lo with lo <= want <= lo + gap_M + k gap_L + rounding, where
+    want is an oracle's M o L; or it raises DomainError naming a side whose hull gap is > 0.
+
+    lo's two candidates are summed exactly as the oracles sum the same compositions, so
+    lo <= want holds as rounded.  Each side of the upper bound is a sum of at most k + 2
+    terms no larger than mass_k = max |log M| + k max |log L|, so each rounds by at most
+    (k + 2) eps mass_k: the rounding allowance is twice that.  Returns whether lo came back.
+    """
+    gaps = {"log M": hull_gap(M.log_M[1 : n + 1]), "log L": hull_gap(L.log_M[1 : n + 1])}
+    try:
+        lo = compose_sequences(M, L, n).log_M
+    except DomainError as e:
+        named = re.fullmatch(rf"(log [ML]) is not convex on 1\.\.{n}: it rises (\S+) above its convex hull",
+                             str(e))
+        assert named and gaps[named[1]] > 0.0, str(e)
+        assert float(named[2]) == pytest.approx(gaps[named[1]], rel=1e-2)
+        return False
+    k = np.arange(n + 1)
+    mass = np.max(np.abs(M.log_M[: n + 1])) + k * np.max(np.abs(L.log_M[: n + 1]))
+    rounding = 2 * (k + 2) * 2.0**-52 * mass
+    assert lo[0] == want[0] and np.all(lo <= want)
+    assert np.all(want[1:] <= (lo + gaps["log M"] + k * gaps["log L"] + rounding)[1:])
+    # and lo is returned only where that bound is within the slack
+    assert np.all(want <= lo + envelope._COMPOSE_SLACK * np.maximum(1.0, np.abs(lo)) + rounding)
+    return True
+
+
 ENDPOINT_TOKENS = tuple(builtin_sequences(k_max=3)) + ("qhat:1:2", "qhat:1:3", "p:0.3:2",
                                                        "p:0.5:2", "p:1:1", "p:1:2", "p:0.5:3")
+NON_CONVEX_TOKENS = ["p:0.5:3", "p:1:2", "q:1:3", "qhat:1:3"]
+
+
+def convex_random_walk(seed, size):
+    """y_0 = 0 and y_1.. a cumulative sum of cumulative sums of |normal|, convex as rounded."""
+    y = np.cumsum(np.cumsum(np.abs(np.random.default_rng(seed).normal(size=size))))
+    y[0] = 0.0
+    assert exactly_convex(y[1:])
+    return y
 
 
 class TestCompose:
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 30))
     @settings(max_examples=30, deadline=None)
-    def test_matches_double_loop_on_random_walks(self, seed, n):
+    def test_random_walks_raise_or_bound_the_double_loop(self, seed, n):
+        # the window DP, the fast oracle, is itself checked bit for bit against the double loop
         rng = np.random.default_rng(seed)
         M = WeightSequence("M", 0, np.cumsum(rng.normal(size=n + 3)))
         L = WeightSequence("L", 0, np.cumsum(rng.normal(size=n + 3)))
-        assert np.array_equal(compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n))
+        want = double_loop_compose(M, L, n)
+        assert np.array_equal(window_dp_compose(M, L, n), want)
+        assert_bounds_or_names_a_side(M, L, n, want)
 
     @pytest.mark.parametrize("outer, inner, n", [("q:1:3", "p:1:2", 120), ("q18", "gevrey:1", 300)])
     def test_matches_double_loop_on_families(self, outer, inner, n):
@@ -381,10 +448,7 @@ class TestCompose:
         assert np.array_equal(compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n))
 
     def test_against_enumeration(self):
-        rng = np.random.default_rng(11)
-        log_M = np.cumsum(np.abs(rng.normal(size=13)))
-        log_L = np.cumsum(np.abs(rng.normal(size=13)))
-        log_M[0] = log_L[0] = 0.0
+        log_M, log_L = convex_random_walk(11, 13), convex_random_walk(12, 13)
         M = WeightSequence("M", 0, log_M)
         L = WeightSequence("L", 0, log_L)
         got = compose_sequences(M, L, 9)
@@ -396,27 +460,36 @@ class TestCompose:
     def test_identity_like_inner(self):
         # L_k = L_1^k makes every composition of k contribute L_1^k
         log_L = np.arange(0, 13, dtype=float) * 0.7
-        log_M = np.cumsum(np.abs(np.random.default_rng(0).normal(size=13)))
-        log_M[0] = 0.0
+        log_M = convex_random_walk(0, 13)
         got = compose_sequences(
             WeightSequence("M", 0, log_M), WeightSequence("L", 0, log_L), 10
         )
         expect = [max(log_M[j] for j in range(1, k + 1)) + 0.7 * k for k in range(1, 11)]
         np.testing.assert_allclose(got.log_M[1:], expect, atol=1e-10)
 
-    def test_cap_enforced(self):
-        # an all-zero pair is convex on both sides and takes the uncapped endpoint form;
-        # a walk takes the capped DP as M under a convex L, and as L
-        walk = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(4).normal(size=601)))
-        zero = tabulate(lambda k: 0.0, 600)
-        for L, which in ((zero, "log M"), (walk, "log L")):
+    @pytest.mark.parametrize("n", [40, 600])
+    def test_random_walk_raises_on_either_side(self, n):
+        # a walk rises far above its hull, as M under a convex L and as L under a convex M;
+        # the all-zero pair is exactly convex and composes to zeros at any n
+        walk = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(4).normal(size=n + 1)))
+        zero = tabulate(lambda k: 0.0, n)
+        gap = hull_gap(walk.log_M[1:])
+        for M, L, which in ((walk, zero, "log M"), (zero, walk, "log L")):
             with pytest.raises(DomainError) as info:
-                compose_sequences(walk, L, 501)
+                compose_sequences(M, L, n)
             assert str(info.value) == (
-                f"k_max_out capped at 500 unless log M and log L are both convex on 1..501; {which} is not"
-            )
-            assert compose_sequences(walk, L, 500).k_max == 500
-        assert np.array_equal(compose_sequences(zero, zero, 600).log_M, np.zeros(601))
+                f"{which} is not convex on 1..{n}: it rises {gap:.3g} above its convex hull")
+        assert np.array_equal(compose_sequences(zero, zero, n).log_M, np.zeros(n + 1))
+
+    def test_gap_of_log_L_counts_once_per_part(self):
+        # one bump of 1e-14 (about 45 eps) at L_2: the composition into k/2 parts of 2
+        # gains k/2 bumps, so lo = 0 is M o L to within 256 eps only while k <= 5
+        zero = tabulate(lambda k: 0.0, 40)
+        bumped = tabulate(lambda k: 1e-14 if k == 2 else 0.0, 40)
+        assert_bounds_or_names_a_side(zero, bumped, 5, double_loop_compose(zero, bumped, 5))
+        assert np.array_equal(compose_sequences(zero, bumped, 5).log_M, [0, 0, 1e-14, 0, 0, 0])
+        with pytest.raises(DomainError, match=r"^log L is not convex on 1\.\.40: it rises 1e-14 above"):
+            compose_sequences(zero, bumped, 40)
 
     def test_short_input_rejected(self):
         W, short = tabulate(lambda k: 0.0, 20), tabulate(lambda k: 0.0, 9)
@@ -456,8 +529,8 @@ def log_convex_compose_inputs(draw):
 
 
 class TestComposeEndpoints:
-    """The form compose_sequences takes when log M and log L are both convex: the O(n)
-    endpoint rows, bit-identical to the O(n^2) Karamata form."""
+    """compose_sequences on exactly convex pairs, bit-identical to the O(n^2) Karamata form,
+    and on the built-in pairs, bit-identical to the O(n^3) DP."""
 
     @given(log_convex_compose_inputs())
     @settings(max_examples=300, deadline=None)
@@ -468,73 +541,81 @@ class TestComposeEndpoints:
 
     @pytest.mark.parametrize("n", [300, 500])
     def test_builtin_pairs_keep_their_bytes(self, n):
-        # a non-convex M under a convex L takes the O(n^3) DP: those 56 pairs run at 300 only
+        # the DP takes about 12 s on the 128 pairs with a non-convex side at 500, so 500
+        # checks those four tokens against gevrey:1 each way, and the rest by the Karamata form
         seqs = {t: make_family(parse_family(t), k_max=n) for t in ENDPOINT_TOKENS}
         convex = [t for t, W in seqs.items() if exactly_convex(W.log_M[1:])]
-        assert sorted(set(seqs) - set(convex)) == ["p:0.5:3", "p:1:2", "q:1:3", "qhat:1:3"]
-        outers = seqs if n == 300 else convex
-        for outer, inner in itertools.product(outers, convex):
+        assert sorted(set(seqs) - set(convex)) == NON_CONVEX_TOKENS
+        for outer, inner in itertools.product(convex, convex):
             M, L = seqs[outer], seqs[inner]
             got = compose_sequences(M, L, n).log_M
             assert got.tobytes() == karamata_compose(M, L, n).tobytes(), (outer, inner)
+        if n == 300:
+            pairs = itertools.product(seqs, seqs)
+        else:
+            pairs = [p for t in NON_CONVEX_TOKENS for p in ((t, "gevrey:1"), ("gevrey:1", t))]
+        for outer, inner in pairs:
+            M, L = seqs[outer], seqs[inner]
+            got = compose_sequences(M, L, n).log_M
+            assert got.tobytes() == window_dp_compose(M, L, n).tobytes(), (outer, inner)
 
-    def test_uncapped_and_prefix_stable(self, monkeypatch):
-        # at n = 10^5 only the O(n) endpoint rows may run: no capped form, no window view
-        M, L = (make_family(parse_family(t), k_max=100_000) for t in ("q18", "gevrey:1"))
+    def test_every_builtin_pair_composes_at_1e5(self):
+        # a slack too tight for the hull gaps of the four non-convex tokens would raise here
+        n = 100_000
+        seqs = [make_family(parse_family(t), k_max=n) for t in ENDPOINT_TOKENS]
+        for M, L in itertools.product(seqs, seqs):
+            got = compose_sequences(M, L, n).log_M
+            assert len(got) == n + 1 and np.all(np.isfinite(got)), (M.name, L.name)
+
+    def test_uncapped_and_prefix_stable(self):
+        M, L = (make_family(parse_family(t), k_max=100_000) for t in ("q:1:3", "gevrey:1"))
         short = compose_sequences(M, L, 300).log_M
-        monkeypatch.setattr(envelope, "sliding_window_view", None)
         got = compose_sequences(M, L, 100_000).log_M
         assert len(got) == 100_001 and np.all(np.isfinite(got))
         assert got[:301].tobytes() == short.tobytes()
 
 
-class TestComposeClosedForm:
-    """Convex L under a convex or random-walk M: the endpoint rows when both sides are
-    exactly convex, the DP otherwise, each against the double loop and enumeration."""
+class TestComposeBound:
+    """Convex L under a convex or random-walk M: lo <= M o L <= lo + gap_M + k gap_L against
+    the double loop and enumeration, or a DomainError naming the non-convex side."""
 
     @given(log_convex_compose_inputs())
     @settings(max_examples=150, deadline=None)
-    def test_within_1e14_of_double_loop(self, inputs):
+    def test_bounds_the_double_loop(self, inputs):
         M, L, n = inputs
-        got, want = compose_sequences(M, L, n).log_M, double_loop_compose(M, L, n)
-        if np.all(np.diff(L.log_M[1 : n + 1], 2) >= 0.0):
-            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14)
-        else:  # a stretch rounded some second difference below 0: the DP ran
-            assert np.array_equal(got, want)
+        returned = assert_bounds_or_names_a_side(M, L, n, double_loop_compose(M, L, n))
+        if exactly_convex(M.log_M[1 : n + 1]) and exactly_convex(L.log_M[1 : n + 1]):
+            assert returned
 
     @given(log_convex_compose_inputs().filter(lambda t: t[2] <= 9))
     @settings(max_examples=60, deadline=None)
-    def test_within_1e14_of_enumeration(self, inputs):
+    def test_bounds_enumeration(self, inputs):
         M, L, n = inputs
-        got = compose_sequences(M, L, n).log_M
-        want = [brute_force_compose(M.log_M, L.log_M, k) for k in range(1, n + 1)]
-        np.testing.assert_allclose(got[1:], want, rtol=1e-14, atol=1e-14)
+        want = [M.log_M[0]] + [brute_force_compose(M.log_M, L.log_M, k) for k in range(1, n + 1)]
+        assert_bounds_or_names_a_side(M, L, n, np.array(want))
 
-    def test_one_ulp_concavity_takes_the_dynamic_program(self, monkeypatch):
-        # a dyadic line has exact zero second differences; one ulp off its top
-        # entry makes the last one -1 ulp, and the DP (one window per pass) must run
+    def test_one_ulp_concavity_returns_within_the_bound(self, monkeypatch):
+        # a dyadic line has exact zero second differences and builds no hull; one ulp off
+        # its top entry makes the last one -1 ulp, and the hull of log L puts that in the gap
         n = 40
         log_L = 0.5 + 0.25 * np.arange(n + 1)
         convex_M = WeightSequence("M", 0, 0.125 * np.arange(n + 1) ** 2)
         walk_M = WeightSequence("walk", 0, np.cumsum(np.random.default_rng(3).normal(size=n + 1)))
-        windows = []
-        real = envelope.sliding_window_view
-        monkeypatch.setattr(envelope, "sliding_window_view",
-                            lambda *a: windows.append(1) or real(*a))
+        hulls = []
+        monkeypatch.setattr(envelope, "lower_convex_envelope",
+                            lambda y: hulls.append(len(y)) or lower_convex_envelope(y))
         dyadic = WeightSequence("L", 0, log_L)
-        compose_sequences(convex_M, dyadic, n)
-        assert len(windows) == 0  # the endpoint rows
-        got = compose_sequences(walk_M, dyadic, n).log_M
-        assert len(windows) == n  # a non-convex M under the convex L takes the DP
-        assert np.array_equal(got, double_loop_compose(walk_M, dyadic, n))
+        got = compose_sequences(convex_M, dyadic, n).log_M
+        assert hulls == [] and np.array_equal(got, double_loop_compose(convex_M, dyadic, n))
+        with pytest.raises(DomainError, match=rf"^log M is not convex on 1\.\.{n}: "):
+            compose_sequences(walk_M, dyadic, n)
         log_L[n] = np.nextafter(log_L[n], -np.inf)
         d2 = np.diff(log_L[1:], 2)
         assert np.count_nonzero(d2) == 1 and d2[-1] == -np.spacing(log_L[n])
         L = WeightSequence("L", 0, log_L)
-        windows.clear()
-        got = compose_sequences(convex_M, L, n).log_M
-        assert len(windows) == n
-        assert np.array_equal(got, double_loop_compose(convex_M, L, n))
+        hulls.clear()
+        assert assert_bounds_or_names_a_side(convex_M, L, n, double_loop_compose(convex_M, L, n))
+        assert hulls == [n] and 0.0 < hull_gap(log_L[1:]) <= np.spacing(log_L[n])
 
     @pytest.mark.parametrize("k_max_out", [0, 1])
     def test_too_short_output_rejected(self, k_max_out):

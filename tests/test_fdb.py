@@ -689,6 +689,17 @@ class TestCompositionBound:
         assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
         assert calls == [12]
 
+    def test_non_convex_weight_raises_and_keeps_the_entry(self):
+        # a random walk rises far above its hull, so compose_sequences raises, and the
+        # entry of the last composition stays as it was
+        W = tabulate(lambda k: 0.3 * k * math.log(k + 1.0), 13, name="w")
+        verify_composition_bound(*self._certified_pair(W, 13, 0))
+        entry = fdb._last_compose
+        walk = tabulate(list(np.cumsum(np.random.default_rng(5).normal(size=14))), 13, name="walk")
+        with pytest.raises(DomainError, match=r"^log [ML] is not convex on 1\.\.12: it rises "):
+            verify_composition_bound(*self._certified_pair(walk, 13, 1))
+        assert fdb._last_compose is entry and entry[0] is W
+
     def test_constants_past_float_range_raise(self):
         # tau = 1e300 (1 + 1e600) = inf and C* = inf / inf = NaN would make every slack NaN
         cert = MembershipCertificate(1e300, 1e300, tabulate([0.0] * 5, 4))
