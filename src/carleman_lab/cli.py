@@ -23,8 +23,6 @@ import sys
 from itertools import chain
 from math import isfinite
 
-import numpy as np
-
 from .seqcore import DomainError, MembershipCertificate, WeightSequence, tabulate
 from . import envelope, families, fdb, intersections, predicates
 
@@ -55,16 +53,16 @@ _EXIT = {"holds": 0, "divergent-trend": 0, "fails": 1, "convergent-trend": 1, "i
 
 
 def dumps(obj) -> str:
-    """JSON with sorted keys; floats at 17 significant digits, a run of bit-equal ones formatted once."""
+    """JSON with sorted keys and floats at 17 significant digits; takes only Python JSON values."""
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         x = float(obj)
         if isfinite(x):
             return format(x, ".17g")
@@ -74,30 +72,11 @@ def dumps(obj) -> str:
     if isinstance(obj, dict):
         items = ", ".join(f"{dumps(str(k))}: {dumps(v)}" for k, v in sorted(obj.items()))
         return "{" + items + "}"
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) == {float} and (text := _finite_floats(obj)) is not None:
-            return "[" + text + "]"
+        if obj and set(map(type, obj)) == {float} and all(map(isfinite, obj)):
+            return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj) + "]"
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
-
-
-def _finite_floats(vals) -> str | None:
-    """``%.17g`` of each value, comma-separated, or None if a value is not finite.
-
-    A run of bit-equal neighbours (so 0.0 and -0.0 differ) is formatted once, unless runs
-    outnumber an eighth of the values: then one format call is cheaper and smaller.
-    """
-    arr = np.asarray(vals)
-    if not np.isfinite(arr).all():
-        return None
-    bits = arr.view(np.int64)  # equal patterns differ by zero; why not `!=`: DECISIONS.md §5
-    if 8 * (np.count_nonzero(np.diff(bits)) + 1) > len(vals):
-        return ", ".join(["%.17g"] * len(vals)) % tuple(vals)
-    starts = np.r_[0, np.flatnonzero(np.diff(bits)) + 1]
-    lengths = np.diff(starts, append=len(vals)).tolist()
-    return ", ".join(", ".join(["%.17g" % v] * n) for v, n in zip(arr[starts].tolist(), lengths))
 
 
 # -- argument plumbing --------------------------------------------------------

@@ -75,7 +75,9 @@ def is_log_convex(W: WeightSequence, weak: bool = False) -> Verdict:
     y = W.log_M.copy()
     if weak:
         y = y + log_factorial(W.ks.astype(float))
-    d2 = y[:-2] + y[2:] - 2.0 * y[1:-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # |y| near the float max: sums overflow
+        d2 = y[:-2] + y[2:] - 2.0 * y[1:-1]
+        d2 = np.where(np.isfinite(d2), d2, np.diff(y, 2))  # differences of same-sign y do not
     # CONVEXITY_EPS is relative in log-space: scale by the magnitude of the entries
     scale = np.maximum(1.0, np.maximum(np.abs(y[:-2]), np.maximum(np.abs(y[1:-1]), np.abs(y[2:]))))
     slack = d2 / scale

@@ -1,7 +1,7 @@
 """Digest of the carleman-lab CLI over a fixed grid of command lines.
 
-Each command runs through ``cli.run`` in this process; one line is printed per
-command:
+Each command runs through ``cli.run`` in a pool of one worker process per CPU;
+one line is printed per command, in grid order:
 
     <sha256 of stdout> <sha256 of stderr> <exit code> <command line>
 
@@ -26,6 +26,8 @@ import contextlib
 import hashlib
 import io
 import itertools
+import multiprocessing
+import os
 import shlex
 
 from carleman_lab import cli
@@ -66,5 +68,6 @@ def digest(argv: list[str]) -> str:
 
 
 if __name__ == "__main__":
-    for argv in grid():
-        print(digest(argv), flush=True)
+    with multiprocessing.get_context("spawn").Pool(os.cpu_count()) as pool:
+        for line in pool.imap(digest, grid(), chunksize=1):
+            print(line, flush=True)

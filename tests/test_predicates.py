@@ -94,6 +94,15 @@ class TestLogConvexity:
         W = WeightSequence("big", 0, 1.0e7 + 1234.56789 * ks)
         assert is_log_convex(W).holds
 
+    @pytest.mark.parametrize("log_M, outcome, witness", [
+        ([1.7e308, -1e308, 0.0, 1.7e308], "holds", None),
+        ([0.0, -1e308, 1e308, 1.7e308], "fails", 2),
+    ])
+    def test_second_difference_past_the_float_max(self, log_M, outcome, witness):
+        # y[k-1] + y[k+1] - 2 y[k] overflows at k = 1 and 2: its sign still decides, with no warning
+        v = is_log_convex(WeightSequence("edge", 0, np.array(log_M)))
+        assert (v.outcome, v.witness_k) == (outcome, witness)
+
     def test_rescale_invariance(self):
         W = fam("q18", k_max=400)
         V = rescale(W, 3.7, 0.2)
