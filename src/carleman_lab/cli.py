@@ -11,8 +11,9 @@ on standard output and encodes its verdict in the exit code:
 Output is deterministic: keys are sorted and floats are rendered with 17
 significant digits, so identical invocations yield byte-identical output.
 Sequence-valued commands can feed a predicate with ``--then``, e.g.
-``carleman-lab checkseq --family q18pp --then check log-convex``. ``check`` and
-``compare`` do not print the O(K) statistic trace; it stays on the ``Verdict``.
+``carleman-lab checkseq --family q18pp --then check log-convex``. Reports leave
+out O(K) intermediates: ``check`` and ``compare`` the statistic trace, which stays
+on the ``Verdict``, and ``majorant`` the raw ``output``, kept on the ``MajorantTrace``.
 """
 
 from __future__ import annotations

@@ -55,9 +55,9 @@ class MajorantTrace:
 
     ``k_j`` are the escape indices, ``a_j``/``b_j`` the selection schedule,
     ``beta_j`` the block levels, ``phi_knots`` the vertices of the
-    piecewise-affine exponent (empty on the weak path).  ``output`` is the raw
-    constructed sequence; ``output_rescaled`` has the recorded rescale
-    ``rescale_rho`` applied so that it dominates the input pointwise.
+    piecewise-affine exponent (empty on the weak path).  ``output_rescaled``, the
+    raw ``output`` after ``rescale_rho`` (weak path: and a minorant repair), dominates
+    the input pointwise; ``to_dict`` writes it, while ``output`` stays on the object.
     ``report`` carries the per-block non-quasianalyticity sums, their
     schedule bounds, and the domination statistic sup_k q_k/l_k.
     """
@@ -100,7 +100,6 @@ class MajorantTrace:
             "b_j": list(self.b_j),
             "beta_j": list(self.beta_j),
             "phi_knots": [[k, v] for k, v in self.phi_knots],
-            "output": self.output.to_dict(),
             "report": self.report,
             "rescale_rho": float(self.rescale_rho),
             "output_rescaled": self.output_rescaled.to_dict(),

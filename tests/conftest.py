@@ -1,4 +1,12 @@
+import importlib.util
+import os
 import sys
+
+
+def pytest_report_header():
+    # pyproject's pythonpath = ["src"] goes before PYTHONPATH: the tree under test is this one
+    spec = importlib.util.find_spec("carleman_lab")
+    return f"carleman_lab under test: {os.path.dirname(spec.origin)}"
 
 
 def pytest_terminal_summary(terminalreporter):

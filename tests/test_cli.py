@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import carleman_lab
 import cli_digest
-from carleman_lab import cli, families, fdb, predicates
+from carleman_lab import cli, families, fdb, intersections, predicates
 from carleman_lab.families import builtin_sequences, make_family, parse_family
 from carleman_lab.predicates import QuasiDiagnostic, Verdict
 from carleman_lab.seqcore import WeightSequence
@@ -268,7 +268,8 @@ class TestPipelines:
 
 
 class TestReports:
-    """A ``check`` or ``compare`` report holds no O(K) field; the statistic trace stays on the Verdict."""
+    """A report holds no O(K) intermediate: the statistic trace stays on the Verdict, and a
+    majorant report writes the rescaled majorant, not the raw ``output``."""
 
     @pytest.mark.parametrize("token", ["q18", "q18pp", "gevrey:1", "q:1:2"])
     def test_reports_stay_small_at_1e4(self, token, capsys):
@@ -279,6 +280,28 @@ class TestReports:
             cli.run(argv)
             out, err = capsys.readouterr()
             assert err == "" and len(out.encode()) < 2048, argv
+
+    @pytest.mark.parametrize("weak", [[], ["--weak"]])
+    def test_majorant_writes_the_majorant_once(self, weak, capsys):
+        # the raw output stays on the MajorantTrace; with it the strong report was ~201 KB
+        assert cli.run(["majorant", "--family", "q18", "--kmax", "5000", *weak]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        long_lists = []
+
+        def walk(v):
+            if isinstance(v, dict):
+                for w in v.values():
+                    walk(w)
+            elif isinstance(v, list):
+                if len(v) > 100:
+                    long_lists.append(v)
+                for w in v:
+                    walk(w)
+
+        walk(doc)
+        assert err == "" and long_lists == [doc["output_rescaled"]["log_M"]]
+        assert len(out.encode()) < 110_000
 
 
 class TestSubcommands:
@@ -581,6 +604,11 @@ class TestWritersAgainstOracles:
         v = predicates.inclusion_diagnostic(W["q18"], W["gevrey:1"])
         for payload in (v.to_report("inclusion"), {"t": v.statistic_trace.tolist()}):
             assert cli.dumps(payload) == dumps_oracle(payload)
+        logf = intersections.escape_log_coefficients(W["q18"], [10, 40, 160, 640, 2560])
+        for build in (intersections.separating_majorant, intersections.separating_majorant_weak):
+            trace = build(W["q18"], logf)
+            for payload in (trace.to_dict(), trace.output.to_dict()):
+                assert cli.dumps(payload) == dumps_oracle(payload)
 
     def test_dumps_random_bits(self):
         rng = np.random.default_rng(5)

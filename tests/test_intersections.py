@@ -153,14 +153,38 @@ class TestSeparatingMajorant:
         with pytest.raises(DomainError):
             separating_majorant(qpp, logf)
 
-    def test_json_schema(self, trace):
+    def test_json_schema(self, trace, weak_trace):
+        # the report writes the rescaled majorant only; the raw output stays on the object
+        for t, extra in ((trace, {"base_block_choice"}),
+                         (weak_trace, {"domination_gap", "pre_rescaled_by_e", "rescale_C"})):
+            d = json.loads(cli.dumps(t.to_dict()))
+            assert set(d) == {"k_j", "a_j", "b_j", "beta_j", "phi_knots", "report", "rescale_rho",
+                              "output_rescaled"}
+            assert isinstance(t.output, WeightSequence)
+            assert t.output.k_max == t.output_rescaled.k_max
+            assert d["output_rescaled"] == t.output_rescaled.to_dict()
+            rep = d["report"]
+            assert set(rep) == {"block_sums", "bound_1_over_ab", "l_over_g_at_kj",
+                                "sup_q_over_l", *extra}
+            assert len(rep["block_sums"]) == len(rep["bound_1_over_ab"])
+
+    def test_report_rebuilds_the_raw_output(self, trace, weak_trace, q18):
+        # the raw output is not written, but the report and Q determine it
         d = json.loads(cli.dumps(trace.to_dict()))
-        for key in ("k_j", "a_j", "b_j", "beta_j", "phi_knots", "output", "report",
-                    "rescale_rho", "output_rescaled"):
-            assert key in d
-        rep = d["report"]
-        assert len(rep["block_sums"]) == len(rep["bound_1_over_ab"])
-        assert "sup_q_over_l" in rep
+        kn, v = np.array(d["phi_knots"], dtype=float).T
+        ks = np.arange(0, q18.k_max + 1, dtype=float)
+        i = np.clip(np.searchsorted(kn, ks), 1, len(kn) - 1)  # phi keeps its final slope
+        phi = v[i - 1] + (v[i] - v[i - 1]) / (kn[i] - kn[i - 1]) * (ks - kn[i - 1])
+        np.testing.assert_allclose(phi + check_sequence(q18).log_M, trace.output.log_M,
+                                   rtol=1e-12, atol=1e-9)
+
+        d = json.loads(cli.dumps(weak_trace.to_dict()))
+        Q = rescale(q18, 1.0, math.e) if d["report"]["pre_rescaled_by_e"] else q18
+        log_qck = check_scale(DerivedScales.from_weight_sequence(Q))
+        ks = np.arange(1, d["k_j"][-1] + 1)
+        log_l = np.log(d["beta_j"])[np.searchsorted(d["k_j"], ks)] + log_qck[: len(ks)]
+        log_L = np.concatenate(([0.0], ks * log_l - log_factorial(ks)))
+        np.testing.assert_allclose(log_L, weak_trace.output.log_M, rtol=1e-12, atol=1e-9)
 
 
 class TestWeakSeparatingMajorant:
