@@ -1,8 +1,8 @@
 """Minorant constructions, the check-sequence bijection, and sequence composition.
 
-Everything operates on log-space tabulations.  The lower convex envelope is
-computed with a monotone-chain hull sweep; the O(N^3) two-sided infimum
-formula it is equivalent to lives in the test suite as an oracle.
+Everything operates on log-space tabulations.  The lower convex envelope is a
+monotone-chain hull sweep that takes runs of known steps at once (DECISIONS.md §10);
+the O(N^3) two-sided infimum formula it equals lives in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .seqcore import (
     DerivedScales,
     DomainError,
     WeightSequence,
-    log_factorial,
+    _log_factorials,
 )
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
 
 # the hull gaps compose_sequences absorbs, per unit of max(1, |(M o L)_k|): DECISIONS.md §7
 _COMPOSE_SLACK = 256 * 2.0**-52
+_BULK_RUN = 8  # single-pop hull steps before a run is tested in windows: DECISIONS.md §10
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ class EnvelopeResult:
 def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     """Lower convex envelope of the points (i, y_i), by a monotone-chain sweep.
 
-    Past the last i where it would pop i - 1 off the chain (i - 2, i - 1), nothing is
-    popped once i - 2 is the second-to-last vertex, so the rest is appended as one array.
-    Index i on hull segment (a, b) gets y_a + (i - a)(y_b - y_a)/(b - a), in one pass.
+    Python steps run only where the chain can change: unflagged steps while i - 2 is the
+    second-to-last vertex, and long runs that pop only i - 1, are taken whole (DECISIONS.md
+    §10).  Index i on hull segment (a, b) gets y_a + (i - a)(y_b - y_a)/(b - a), in one pass.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
@@ -76,19 +77,31 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
         raise DomainError("need at least 3 points for an envelope")
     if not np.all(np.isfinite(y)):
         raise DomainError(f"non-finite envelope input at i={int(np.argmax(~np.isfinite(y)))}")
-    # the sweep's own test for a = i - 2, b = i - 1, at i = 2 .. n - 1
-    pops = np.flatnonzero((y[1:-1] - y[:-2]) * 2 >= y[2:] - y[:-2])
+    # the sweep's own test for a = i - 2, b = i - 1, flagging i = 2 .. n - 1
+    flags = np.flatnonzero((y[1:-1] - y[:-2]) * 2 >= y[2:] - y[:-2]) + 2
     hull, i = [0, 1], 2
-    if pops.size:  # with nothing to pop, the chain is 0, 1, ..., n - 1
-        last, yl = int(pops[-1]) + 2, y.tolist()
-        while i < n and (i <= last or hull[-2] != i - 2):
-            # pop while the previous vertex lies on or above the new chord
+    if flags.size:  # with nothing to pop, the chain is 0, 1, ..., n - 1
+        yl, flags, f, run = y.tolist(), flags.tolist() + [n], 0, 0
+        while i < n:
+            if hull[-2] == i - 2:  # local state: an unflagged i is appended without a pop
+                while flags[f] < i:
+                    f += 1
+                if flags[f] == n:
+                    break
+                hull += range(i, flags[f])
+                i = flags[f]
+            elif run >= _BULK_RUN:  # anchored run: each step pops i - 1 and keeps hull[-2]
+                i = _anchored_run_end(y, hull, i)
+                hull[-1] = i - 1
+            # one step: pop while the previous vertex lies on or above the new chord
+            size = len(hull)
             while len(hull) >= 2:
                 a, b = hull[-2], hull[-1]
                 if (yl[b] - yl[a]) * (i - a) >= (yl[i] - yl[a]) * (b - a):
                     hull.pop()
                 else:
                     break
+            run = run + 1 if len(hull) == size - 1 else 0
             hull.append(i)
             i += 1
     h = np.concatenate((hull, np.arange(i, n)))
@@ -97,6 +110,23 @@ def lower_convex_envelope(y: np.ndarray) -> EnvelopeResult:
     a, b = np.repeat(h[:-1], reps), np.repeat(h[1:], reps)
     values = y[a] + (np.arange(n) - a) * (y[b] - y[a]) / (b - a)
     return EnvelopeResult(values=values, y=y, is_edge_sensitive=bool(h[-1] - h[-2] > 1))
+
+
+def _anchored_run_end(y: np.ndarray, hull: list, i: int) -> int:
+    """First j >= i where the sweep does more than pop j - 1 and keep a = hull[-2], at most the
+    last index: its own two tests, in its float expressions, in windows doubling from _BULK_RUN."""
+    n, w, a, c = len(y) - 1, _BULK_RUN, hull[-2], hull[-3] if len(hull) > 2 else None
+    with np.errstate(over="ignore"):  # as in the Python steps, a cross product may be +-inf
+        while i < n:
+            js = np.arange(i, min(i + w, n))
+            yj = y[js]
+            run = (y[js - 1] - y[a]) * (js - a) >= (yj - y[a]) * (js - 1 - a)  # pops j - 1
+            if c is not None:  # and keeps a against the chord (c, j)
+                run &= (y[a] - y[c]) * (js - c) < (yj - y[c]) * (a - c)
+            if not run.all():
+                return i + int(np.argmin(run))
+            i, w = i + w, 2 * w
+    return n
 
 
 def increasing_minorant(scales: DerivedScales) -> tuple[np.ndarray, bool]:
@@ -117,8 +147,7 @@ def log_convex_minorant(W: WeightSequence, weak_basis: bool = False) -> Envelope
     With the weak basis this is the log-convex minorant M^(b,lc) of k! M_k,
     returned as log(k! . minorant-of-M)_k, i.e. in the k! M_k scale.
     """
-    ks = W.ks.astype(float)
-    y = W.log_M + log_factorial(ks) if weak_basis else W.log_M.copy()
+    y = W.log_M + _log_factorials(W.k_max) if weak_basis else W.log_M.copy()
     return lower_convex_envelope(y)
 
 
@@ -153,7 +182,7 @@ def check_sequence(W: WeightSequence) -> WeightSequence:
 def _log_M_from_scale(log_s: np.ndarray) -> np.ndarray:
     """log M with M_0 = 1 and M_k = s_k^k / k! for k = 1..n, from log s_1..log s_n."""
     ks = np.arange(1, len(log_s) + 1, dtype=float)
-    return np.concatenate(([0.0], ks * log_s - log_factorial(ks)))
+    return np.concatenate(([0.0], ks * log_s - _log_factorials(len(log_s))[1:]))
 
 
 def _compensated_cumsum(terms) -> np.ndarray:

@@ -15,7 +15,7 @@ from math import e as E, isfinite
 
 import numpy as np
 
-from .seqcore import DomainError, WeightSequence, log_factorial
+from .seqcore import DomainError, WeightSequence, _log_factorials, log_factorial
 from .envelope import _compensated_cumsum, uncheck_scale
 
 __all__ = [
@@ -126,7 +126,7 @@ def make_family(spec: FamilySpec, k_max: int = 10_000) -> WeightSequence:
     elif spec.kind == "gevrey":
         # an overflow surfaces as the non-finite log M error below
         with np.errstate(over="ignore"):
-            log_M = spec.s * log_factorial(ks)
+            log_M = spec.s * _log_factorials(k_max)[1:]
     elif spec.kind == "q18_doubleprime":
         log_M = ks * np.log(np.log(ks + E))
     else:

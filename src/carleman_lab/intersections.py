@@ -31,7 +31,7 @@ from .seqcore import (
     WeightSequence,
     _LOG_FLOAT_MAX,
     _log_abs,
-    log_factorial,
+    _log_factorials,
     rescale,
 )
 from . import envelope
@@ -119,11 +119,12 @@ def escape_log_coefficients(
         raise DomainError(f"escape factor must be finite and positive, got {factor}")
     scales = DerivedScales.from_weight_sequence(Q)
     ks = np.arange(1, Q.k_max + 1, dtype=float)
-    out = log_factorial(ks) + ks * envelope.check_scale(scales)
+    log_fact = _log_factorials(Q.k_max)
+    out = log_fact[1:] + ks * envelope.check_scale(scales)
     for k in marked:
         if not 1 <= k <= Q.k_max:
             raise DomainError(f"marked index {k} outside tabulated range")
-        out[k - 1] = log_factorial(float(k)) + k * (np.log(factor) + scales.log_m[k - 1])
+        out[k - 1] = log_fact[k] + k * (np.log(factor) + scales.log_m[k - 1])
     return np.concatenate(([0.0], out))
 
 
@@ -338,7 +339,7 @@ def separating_majorant_weak(Q: WeightSequence, f) -> MajorantTrace:
     log_C = max(float(log_L[0] - log_L[1]), float(np.max(s.log_q[:k_hi] - log_l)))
     C = float(np.exp(max(0.0, log_C)))
     env = envelope.log_convex_minorant(rescale(L, 1.0, C), weak_basis=True)
-    log_under = env.values - log_factorial(np.arange(0, k_hi + 1, dtype=float))
+    log_under = env.values - _log_factorials(k_hi)
     under = WeightSequence(name=f"sepw({Q_eff.name})", k_min=0, log_M=log_under)
     dom_gap = float(np.min(log_under - Q_eff.log_M[: k_hi + 1]))
     if dom_gap < -1e-9:
@@ -360,7 +361,7 @@ def min_combine(
     log_bar = np.minimum(L1.log_M[: k_hi + 1], L2.log_M[: k_hi + 1])
     bar = WeightSequence(name="min", k_min=0, log_M=log_bar)
     env = envelope.log_convex_minorant(bar, weak_basis=True)
-    out = env.values - log_factorial(np.arange(0, k_hi + 1, dtype=float))
+    out = env.values - _log_factorials(k_hi)
     _require_dominates(out, Q, "combined majorant dropped below", 1e-9)
     return WeightSequence(name=f"minc({L1.name},{L2.name})", k_min=0, log_M=out)
 
@@ -389,10 +390,10 @@ def lprime_construction(Q: WeightSequence, L: WeightSequence) -> WeightSequence:
 
     log_C = np.log(2.0) + float(mg.margin)
     ks = np.arange(0, k_hi + 1)
-    log_Lt = L.log_M[: k_hi + 1] + log_factorial(ks)
+    log_Lt = L.log_M[: k_hi + 1] + _log_factorials(k_hi)
     h = envelope._convex_floor(log_Lt)
     out = ks * log_C + (h[ks // 2] + h[ks - ks // 2])
     out[0] = 0.0
-    log_out = out - log_factorial(ks)
+    log_out = out - _log_factorials(k_hi)
     _require_dominates(log_out, Q, "splitting majorant dropped below", 1e-9)
     return WeightSequence(name=f"split({L.name})", k_min=0, log_M=log_out)

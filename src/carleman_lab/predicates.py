@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqcore import DerivedScales, DomainError, WeightSequence, log_factorial
+from .seqcore import DerivedScales, DomainError, WeightSequence, _log_factorials
 from . import envelope
 
 __all__ = [
@@ -74,7 +74,7 @@ def is_log_convex(W: WeightSequence, weak: bool = False) -> Verdict:
     """
     y = W.log_M.copy()
     if weak:
-        y = y + log_factorial(W.ks.astype(float))
+        y = y + _log_factorials(W.k_max)
     with np.errstate(over="ignore", invalid="ignore"):  # |y| near the float max: sums overflow
         d2 = y[:-2] + y[2:] - 2.0 * y[1:-1]
         d2 = np.where(np.isfinite(d2), d2, np.diff(y, 2))  # differences of same-sign y do not

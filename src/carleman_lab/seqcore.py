@@ -177,7 +177,7 @@ class DerivedScales:
     @classmethod
     def from_weight_sequence(cls, W: WeightSequence) -> "DerivedScales":
         ks = np.arange(1, W.k_max + 1, dtype=float)
-        return cls(log_m=(log_factorial(ks) + W.log_M[1:]) / ks)
+        return cls(log_m=(_log_factorials(W.k_max)[1:] + W.log_M[1:]) / ks)
 
 
 def _float_or_nan(x) -> float:

@@ -20,6 +20,7 @@ from carleman_lab.envelope import (
     uncheck_sequence,
 )
 from carleman_lab.families import FamilySpec, builtin_sequences, make_family, parse_family
+from carleman_lab.intersections import escape_log_coefficients, separating_majorant_weak
 from carleman_lab.seqcore import (
     DerivedScales,
     DomainError,
@@ -92,16 +93,22 @@ def _hull_fill_inputs():
         [np.arange(200) * -0.75, -150.0 + np.arange(300) * 0.1, -120.0 + np.arange(250) * 1.5]
     )
     q12 = make_family(FamilySpec("q_delta_n", delta=1.0, n=2), k_max=10_000)
-    weak = {}
+    fams = {}
     for token in ("q18", "q18p", "q18pp", "gevrey:1", "q:1:3", "analytic"):
         W = make_family(parse_family(token), k_max=10_000)
-        weak[f"{token} weak"] = W.log_M + log_factorial(W.ks.astype(float))
+        fams[f"{token} weak"] = W.log_M + log_factorial(W.ks.astype(float))
+    # each strong basis flags 5017-7300 indices, so the sweep leaves its local state thousands
+    # of times; on each weak basis, one anchored run under vertex 0 lasts to the last index
+    for token in ("q:1:3", "qhat:1:3", "p:1:2", "p:0.5:3"):
+        W = make_family(parse_family(token), k_max=100_000)
+        fams[f"{token} strong 1e5"] = W.log_M[1:]
+        fams[f"{token} weak 1e5"] = W.log_M + log_factorial(W.ks.astype(float))
     return {
         "affine pieces": affine,
         "random walk": np.cumsum(rng.normal(size=5000)),
         "q:1:2 strong": q12.log_M,
         "q:1:2 weak": q12.log_M + log_factorial(q12.ks.astype(float)),
-        **weak,
+        **fams,
     }
 
 
@@ -186,6 +193,94 @@ class TestLowerConvexEnvelope:
         y[2] = 100.0  # the caller's array may change; the result keeps its own copy
         assert env.contact_set == (0, 1, 2, 3, 4) and "contact_set" in vars(env)
         assert env.y.tobytes() == np.array([0.0, 1.0, 3.0, 6.0, 10.0]).tobytes()
+
+
+def assert_sweep_matches_segment_fill(y):
+    env = lower_convex_envelope(y)
+    values, contact, edge = segment_fill_envelope(y)
+    assert env.values.tobytes() == values.tobytes()
+    assert env.contact_set == contact and env.is_edge_sensitive == edge
+
+
+@st.composite
+def convex_with_jumps(draw):
+    """A convex sequence of up to 10^4 points with 1-5 jumps, most of them upward: past an
+    upward jump the sweep pops only i - 1 under one anchor for a long run."""
+    n = draw(st.integers(3, 10_000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    curvature = draw(st.sampled_from([1e-6, 1e-3, 1.0]))
+    y = np.cumsum(rng.normal() + np.cumsum(curvature * rng.exponential(size=n)))
+    for _ in range(draw(st.integers(1, 5))):
+        y[draw(st.integers(0, n - 1)) :] += draw(st.floats(-0.2, 1.0)) * (np.ptp(y) + 1.0)
+    return y
+
+
+@pytest.fixture
+def anchored_runs(monkeypatch):
+    """(start, end, has hull[-3]) of each run the sweep hands to _anchored_run_end."""
+    runs, run_end = [], envelope._anchored_run_end
+
+    def spy(y, hull, i):
+        runs.append((i, run_end(y, hull, i), len(hull) > 2))
+        return runs[-1][1]
+
+    monkeypatch.setattr(envelope, "_anchored_run_end", spy)
+    return runs
+
+
+def _jump_inputs():
+    ks = np.arange(3000.0)
+    base = 1e-3 * ks**2
+    up = base + 50.0 * (ks >= 1000)
+    # name: (y, the run past the jump lasts to the last index, the anchor has a vertex before it)
+    return {
+        "up": (up, False, True),  # the run ends at a step that pops nothing
+        "up then down": (up - 200.0 * (ks >= 1100), False, True),  # ... that pops the anchor too
+        "up at the end": (base + 5e3 * (ks >= 2950), True, True),
+        "anchor 0": (np.concatenate(([0.0], 100.0 + base[1:])), False, False),
+    }
+
+
+JUMP_INPUTS = _jump_inputs()
+
+
+class TestBulkSweep:
+    """The sweep's bulk states against the step-by-step sweep of segment_fill_envelope."""
+
+    @pytest.mark.parametrize("token", ["q18", "q18p", "q18pp"])
+    def test_weak_majorant_repair_inputs(self, token, monkeypatch, anchored_runs):
+        Q = make_family(parse_family(token), k_max=5000)
+        f = escape_log_coefficients(Q, (10, 40, 160, 640, 2560))
+        inputs = []
+        monkeypatch.setattr(envelope, "lower_convex_envelope",
+                            lambda y: inputs.append(y) or lower_convex_envelope(y))
+        separating_majorant_weak(Q, f)
+        assert len(inputs) == 1
+        assert_sweep_matches_segment_fill(inputs[0])
+        assert max(end - start for start, end, _ in anchored_runs) > 1000
+
+    @pytest.mark.parametrize("name", JUMP_INPUTS)
+    def test_each_end_of_an_anchored_run(self, name, anchored_runs):
+        y, to_the_end, has_third = JUMP_INPUTS[name]
+        assert_sweep_matches_segment_fill(y)
+        assert len(anchored_runs) == 1
+        start, end, third = anchored_runs[0]
+        assert end - start > 30 and (end == len(y) - 1) == to_the_end and third == has_third
+
+    @given(y=convex_with_jumps())
+    @settings(max_examples=40, deadline=None)
+    def test_convex_with_jumps(self, y):
+        assert_sweep_matches_segment_fill(y)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("name", ["up", "up then down"])
+    def test_cross_products_past_the_float_max(self, name, sign, anchored_runs):
+        y = JUMP_INPUTS[name][0]
+        y = sign * y * (1.7e308 / np.max(np.abs(y)))
+        with np.errstate(over="ignore"):  # the fill overflows too, in the oracle as here
+            assert_sweep_matches_segment_fill(y)
+            assert np.isinf(lower_convex_envelope(y).values).any()
+        assert anchored_runs
 
 
 class TestIncreasingMinorant:

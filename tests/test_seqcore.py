@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carleman_lab import seqcore
+from carleman_lab import envelope, intersections, seqcore
 from carleman_lab.cli import dumps
 from carleman_lab.families import builtin_sequences, kappa, make_family, parse_family
 from carleman_lab.seqcore import (
@@ -380,6 +380,30 @@ class TestLogFactorialTable:
             assert np.array_equal(got, log_factorial(np.arange(n + 1.0)))
         assert len(seqcore._lgamma_table) == 2**20
         assert np.array_equal(got[-100:], log_factorial_oracle(np.arange(n - 99.0, n + 1.0)))
+
+    @pytest.mark.parametrize("n", [2, 5000, 100_000, 2**20 + 1])
+    def test_slices_are_the_float_ranges(self, n):
+        # a contiguous log k! reads _log_factorials(n) for k = 0..n and its [1:] for k = 1..n
+        got = seqcore._log_factorials(n)
+        assert got.tobytes() == log_factorial(np.arange(n + 1.0)).tobytes()
+        assert got.tobytes() == log_factorial(np.arange(n + 1)).tobytes()
+        assert got[1:].tobytes() == log_factorial(np.arange(1, n + 1, dtype=float)).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 5000, 100_000])
+    def test_call_sites_keep_their_bytes(self, n):
+        # the former expressions, each with log_factorial of a float range
+        ks = np.arange(1, n + 1, dtype=float)
+        W = make_family(parse_family("q18"), k_max=n)
+        log_m = DerivedScales.from_weight_sequence(W).log_m
+        assert log_m.tobytes() == ((log_factorial(ks) + W.log_M[1:]) / ks).tobytes()
+        G = make_family(parse_family("gevrey:1.5"), k_max=n)
+        assert G.log_M[1:].tobytes() == (1.5 * log_factorial(ks)).tobytes()
+        got = envelope._log_M_from_scale(log_m)
+        assert got.tobytes() == np.concatenate(([0.0], ks * log_m - log_factorial(ks))).tobytes()
+        want = log_factorial(ks) + ks * envelope.check_scale(DerivedScales(log_m))
+        want[0] = log_factorial(1.0) + (np.log(2.0) + log_m[0])
+        got = intersections.escape_log_coefficients(W, [1])
+        assert got.tobytes() == np.concatenate(([0.0], want)).tobytes()
 
 
 class TestMembershipAgainstMaskedOracle:
