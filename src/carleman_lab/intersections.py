@@ -32,6 +32,7 @@ from .seqcore import (
     _LOG_FLOAT_MAX,
     _log_abs,
     _log_factorials,
+    _log_sum_exp,
     rescale,
 )
 from . import envelope
@@ -214,15 +215,16 @@ def _trace(s: _Schedule, log_l, log_terms, edges, output, rescale_rho, output_re
            phi_knots=(), **extra) -> MajorantTrace:
     """The MajorantTrace of a construction with scale l_k (k = 1..len(log_l)).
 
-    Block i of ``block_sums`` adds exp(log_terms) over edges[i] <= k <
-    edges[i + 1]; its bound 1/(a_j b_j) is that of the block's last escape
-    index.  ``extra`` holds the construction's own report keys.
+    Block i of ``block_sums`` adds exp(log_terms) over edges[i] <= k < edges[i + 1] in
+    one max-shifted pass (seqcore._log_sum_exp), which overwrites ``log_terms``; its bound
+    1/(a_j b_j) is that of the block's last escape index.  ``extra`` holds the
+    construction's own report keys.
     """
     m = len(s.k_j)
     first = m - (len(edges) - 1)  # the schedule block of the first summed block
     report = {
         "block_sums": [
-            float(np.exp(np.logaddexp.reduce(log_terms[lo:hi]))) for lo, hi in zip(edges, edges[1:])
+            float(np.exp(_log_sum_exp(log_terms[lo:hi])[0])) for lo, hi in zip(edges, edges[1:])
         ],
         "bound_1_over_ab": [float(np.exp(-(s.log_a[j] + s.log_b[j]))) for j in range(first, m)],
         "sup_q_over_l": float(np.exp(np.max(s.log_q[: len(log_l)] - log_l))),

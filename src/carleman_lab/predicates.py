@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .seqcore import DerivedScales, DomainError, WeightSequence, _log_factorials
+from .seqcore import DerivedScales, DomainError, WeightSequence, _log_factorials, _log_sum_exp
 from . import envelope
 
 __all__ = [
@@ -170,8 +170,8 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     term (k_max <= 2; one term never rises), ``divergent-trend`` when its partial sums
     still rise over the last decade (by more than SUM_STALL_REL of the total) and that
     slope is >= -1 - SLOPE_SLACK, and ``convergent-trend`` otherwise.  The summands
-    underflow f64 for strongly shifted families (terms like exp(-1e7/k)), so the
-    partial sums are accumulated as log S_N by a running logaddexp.
+    underflow f64 for strongly shifted families (terms like exp(-1e7/k)), so log S_N and
+    the rise S_N - S_i come from one max-shifted pairwise sum (seqcore._log_sum_exp).
     """
     scales = DerivedScales.from_weight_sequence(W)
     n = W.k_max
@@ -182,7 +182,6 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     # log terms: (i) 1/m_k, (ii) 1/m^(b,i)_k, (iii) (1/M^blc_k)^{1/k}, each at k = 1..k_max,
     # and (iv) M^blc_k / M^blc_{k+1} at k = 0..k_max-1, fitted against the same k = 1..k_max
     terms = (-scales.log_m, -log_minc, -log_blc[1:] / ks, log_blc[:-1] - log_blc[1:])
-    log_S = [np.logaddexp.accumulate(t) for t in terms]
 
     i0 = min(int(n * (1.0 - SLOPE_WINDOW_FRAC)), n - 2)
     x = np.log(ks[i0:])
@@ -191,7 +190,8 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     slopes = np.sum(x * (tails - tails.mean(axis=1, keepdims=True)), axis=1) / np.sum(x**2)
 
     i = _last_decade_start(n)
-    rising = [-np.expm1(s[i] - s[-1]) > SUM_STALL_REL for s in log_S]  # (S_N - S_i) / S_N
+    log_S, head = zip(*(_log_sum_exp(t, i + 1) for t in terms))  # head = S_i / S_N
+    rising = [1.0 - h > SUM_STALL_REL for h in head]  # (S_N - S_i) / S_N
     bound = -1.0 - SLOPE_SLACK
     classes = tuple(
         "inconclusive" if np.isnan(slope) or i == n - 1  # overflowed fit, or one-term decade
@@ -201,7 +201,7 @@ def quasianalytic_diagnostic(W: WeightSequence) -> QuasiDiagnostic:
     )
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
     return QuasiDiagnostic(
-        partial_sums_final=tuple(np.exp([s[-1] for s in log_S]).tolist()),
+        partial_sums_final=tuple(np.exp(log_S).tolist()),
         term_slope=tuple(slopes.tolist()),
         per_criterion=classes,
         classification=agreed,

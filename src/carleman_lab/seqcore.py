@@ -47,6 +47,18 @@ def _lgamma_plus_one(arr: np.ndarray) -> np.ndarray:
     return np.fromiter(vals, dtype=float, count=arr.size).reshape(arr.shape)
 
 
+def _log_sum_exp(t: np.ndarray, head: int = 0) -> tuple[float, float]:
+    """log sum exp(t) of a 1-D float t as top + log sum exp(t - top) (top = max t, numpy's
+    pairwise sum; overwrites t), and from the same shift the share of t[:head] in the sum.
+    +inf in t gives +inf, an all -inf t -inf, NaN NaN, each with share NaN; no warning."""
+    top = np.max(t)
+    if not np.isfinite(top):
+        return float(top), np.nan
+    t -= top
+    total = np.sum(np.exp(t, out=t))
+    return float(top + np.log(total)), float(np.sum(t[:head]) / total)
+
+
 def _log_factorials(n: int) -> np.ndarray:
     """log k! for k = 0..n: a read-only view of the lgamma table (grown here only, at least
     doubling, to at most 2^20 entries), or from n = 2^20 on a new array."""

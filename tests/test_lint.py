@@ -4,8 +4,9 @@ Every top-level import of a module in src/carleman_lab is read somewhere in it
 (or re-exported through ``__all__``), every name in ``__all__`` is bound,
 every private top-level function, class or assigned name is referenced by some
 module, no top-level name is bound in two modules, every name a submodule exports
-is re-exported by the package or referenced by some module, and no function body
-imports anything.
+is re-exported by the package or referenced by some module, no function body
+imports anything, and no module calls numpy's logaddexp (log-space sums take one
+max-shifted pass, ``seqcore._log_sum_exp``).
 """
 
 import ast
@@ -128,3 +129,15 @@ def test_no_imports_in_function_bodies(path):
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not nested, f"imports inside function bodies: {nested}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_logaddexp(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    uses = [
+        f"{path.name}:{getattr(node, 'lineno', '?')}"
+        for node in ast.walk(tree)
+        if "logaddexp" in (getattr(node, "attr", None), getattr(node, "id", None),
+                           getattr(node, "name", None), getattr(node, "asname", None))
+    ]
+    assert not uses, f"logaddexp referenced (use seqcore._log_sum_exp): {uses}"

@@ -238,7 +238,8 @@ def _classify_oracle(log_summand, ks):
     return cls, slope, np.exp(log_S)
 
 
-def quasianalytic_oracle(W):
+def criterion_terms_oracle(W):
+    """The four criteria's log terms and the edge flag, built as the former classifier did."""
     scales = DerivedScales.from_weight_sequence(W)
     ks = np.arange(1, W.k_max + 1, dtype=float)
     s_raw = -scales.log_m
@@ -248,14 +249,13 @@ def quasianalytic_oracle(W):
     log_blc = env.values
     s_lc = -log_blc[1:] / ks
     s_ratio = log_blc[:-1] - log_blc[1:]
-    results = []
-    for summand, kk in (
-        (s_raw, ks),
-        (s_inc, ks),
-        (s_lc, ks),
-        (s_ratio, np.arange(1, W.k_max + 1, dtype=float)),
-    ):
-        results.append(_classify_oracle(summand, kk))
+    return (s_raw, s_inc, s_lc, s_ratio), bool(edge_inc or env.is_edge_sensitive)
+
+
+def quasianalytic_oracle(W):
+    terms, edge_sensitive = criterion_terms_oracle(W)
+    ks = np.arange(1, W.k_max + 1, dtype=float)
+    results = [_classify_oracle(summand, ks) for summand in terms]
     classes = tuple(r[0] for r in results)
     agreed = classes[0] if len(set(classes)) == 1 else "inconclusive"
     return QuasiDiagnostic(
@@ -263,8 +263,25 @@ def quasianalytic_oracle(W):
         term_slope=tuple(r[1] for r in results),
         per_criterion=classes,
         classification=agreed,
-        edge_sensitive=bool(edge_inc or env.is_edge_sensitive),
+        edge_sensitive=edge_sensitive,
     )
+
+
+def mp_partial_sums(W):
+    """The four criteria's S_N = sum of exp(log term), to 40 digits (mpmath)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return [mpmath.fsum(mpmath.exp(mpmath.mpf(float(t))) for t in terms)
+                for terms in criterion_terms_oracle(W)[0]]
+
+
+# relative bound on partial_sums_final against mpmath, plus one subnormal step for sums
+# past the float range; the running logaddexp of the oracle errs by up to 2.1e-14 here
+PARTIAL_SUM_REL = 3e-15
+
+
+def within_partial_sum_bound(got, ref) -> bool:
+    return abs(got - ref) <= PARTIAL_SUM_REL * ref + 2.0**-1074
 
 
 ORACLE_TOKENS = list(builtin_sequences(2)) + ["gevrey:0.05", "qhat:1:2", "p:0.3:2", "p:1:1"]
@@ -274,9 +291,20 @@ class TestQuasianalyticAgainstOracle:
     @pytest.mark.parametrize("k_max", [2, 3, 5, 10, 20, 100, 1000, 10_000])
     @pytest.mark.parametrize("token", ORACLE_TOKENS)
     def test_report_bytes_match_per_criterion_oracle(self, token, k_max):
+        # every key but partial_sums_final byte for byte; those sums within
+        # PARTIAL_SUM_REL of mpmath, as the oracle's running logaddexp is not
         W = make_family(parse_family(token), k_max=k_max)
-        got = dumps(quasianalytic_diagnostic(W).to_dict())
-        assert got == dumps(quasianalytic_oracle(W).to_dict())
+        got = quasianalytic_diagnostic(W).to_dict()
+        want = quasianalytic_oracle(W).to_dict()
+        sums = got.pop("partial_sums_final")
+        want.pop("partial_sums_final")
+        assert dumps(got) == dumps(want)
+        assert all(map(within_partial_sum_bound, sums, mp_partial_sums(W)))
+
+    def test_the_logaddexp_chain_misses_the_partial_sum_bound(self):
+        W = make_family(parse_family("analytic"), k_max=10_000)
+        chain = quasianalytic_oracle(W).partial_sums_final
+        assert not all(map(within_partial_sum_bound, chain, mp_partial_sums(W)))
 
     def test_nan_slope_of_a_rising_sum_is_inconclusive(self):
         # log M jumping to near the float maximum overflows the tail fit of
@@ -290,14 +318,16 @@ class TestQuasianalyticAgainstOracle:
 
     def test_nan_slope_of_a_stalled_sum_is_inconclusive(self):
         # the sums of criteria (iii) and (iv) stop rising while their tail fits
-        # overflow: a NaN slope is no evidence either way
+        # overflow: a NaN slope is no evidence either way.  Criterion (ii) has four
+        # equal terms exp(-4.25e307): S_N = 2 S_i exactly, so its sum rises by half
+        # over the last decade and, at slope 0, is divergent-trend
         W = WeightSequence("jump", 0, np.array([0.0, 1e308, 1.7e308, 1.7e308, 1.7e308]))
         with np.errstate(over="ignore", invalid="ignore"):
             diag = quasianalytic_diagnostic(W)
         assert diag.term_slope[:2] == (pytest.approx(4.9e307, rel=0.01), 0.0)
         assert all(math.isnan(s) for s in diag.term_slope[2:])
         assert diag.per_criterion == (
-            "divergent-trend", "convergent-trend", "inconclusive", "inconclusive")
+            "divergent-trend", "divergent-trend", "inconclusive", "inconclusive")
         assert diag.classification == "inconclusive"
 
 

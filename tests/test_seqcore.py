@@ -293,6 +293,65 @@ def to_csv_oracle(W):
     return "\n".join(lines) + "\n"
 
 
+def log_sum_exp_oracle(t, head):
+    """log sum exp(t) and the share of t[:head] in it, to 40 digits (mpmath); the share is
+    NaN where the sum is 0, infinite or NaN."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = [mpmath.exp(mpmath.mpf(float(x))) for x in t]
+        total = mpmath.fsum(e)
+        share = mpmath.fsum(e[:head]) / total if 0 < total < mpmath.inf else mpmath.nan
+        return mpmath.log(total), share
+
+
+class TestLogSumExp:
+    EPS = np.finfo(float).eps
+
+    def same(self, t, head=0):
+        """The helper's pair, checked against mpmath and with every warning an error."""
+        t = np.asarray(t, dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, share = seqcore._log_sum_exp(t.copy(), head)
+        want, want_share = log_sum_exp_oracle(t, head)
+        if math.isfinite(want):
+            assert abs(got - want) <= 16 * self.EPS * max(1.0, abs(want))
+            assert abs(share - want_share) <= 8 * self.EPS
+        else:
+            assert repr(got) == repr(float(want)) and math.isnan(share)
+        return got, share
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drawn_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3, 10, 100, 2_000):
+            t = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            t += rng.choice([0.0, 300.0, -740.0, -1e5])
+            t[rng.random(n) < 0.1] = -np.inf  # zero terms
+            self.same(t, int(rng.integers(0, n + 1)))
+
+    @pytest.mark.parametrize("t, want", [
+        ([-np.inf] * 3, -np.inf),
+        ([0.0, np.inf, -np.inf, 1.0], np.inf),
+        ([0.0, np.nan, 1.0], np.nan),
+        ([np.inf, np.nan], np.nan),
+    ])
+    def test_non_finite_rows(self, t, want):
+        assert repr(self.same(t, 1)[0]) == repr(want)
+
+    def test_one_element(self):
+        assert self.same([3.5], 0) == (3.5, 0.0)
+        assert self.same([-1e300], 1) == (-1e300, 1.0)
+
+    def test_subnormal_terms(self):
+        self.same([5e-324, -5e-324, 1e-310, 0.0], 2)  # log terms in the subnormal range
+        self.same([-740.0, -741.5, -745.0, -745.1], 1)  # exp of each term subnormal
+
+    def test_equal_terms_near_minus_the_float_max(self):
+        # the sum is 4 exp(x): log S rounds back to x, yet the share of two terms is 1/2
+        assert self.same([-4.25e307] * 4, 2) == (-4.25e307, 0.5)
+
+
 class TestLogFactorialTable:
     @pytest.fixture(autouse=True)
     def empty_table(self, monkeypatch):
