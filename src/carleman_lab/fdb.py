@@ -3,9 +3,9 @@
 Coefficients follow the derivative normalization: the stored f_k corresponds
 to the k-th derivative, so the Taylor coefficient is f_k / k!.  Composition
 is one partial Bell polynomial recurrence (Comtet, Advanced Combinatorics,
-section 3.3), O(N^3) and free of factorials.  Exact (int, Fraction) inputs
-have their denominators cleared and run on object arrays of Python ints, so
-they stay exact far past 2^53; other inputs run in float.
+section 3.3), O(N^3) and free of factorials.  Exact (int, Fraction) factors of
+a composition or a product have their denominators cleared once and run on
+Python ints, so they stay exact far past 2^53; other inputs run in float.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import isfinite, lcm
+from math import isfinite, lcm, log
 from operator import add, mul
 from typing import Optional
 
 import numpy as np
 
-from .seqcore import DomainError, MembershipCertificate, _log_abs, _log_factorials, fm_membership
+from .seqcore import (DomainError, MembershipCertificate, _LOG_FLOAT_MAX, _log_abs,
+                      _log_factorials, fm_membership)
 from .envelope import compose_sequences
 from .predicates import is_log_convex
 
@@ -89,26 +90,31 @@ def compose_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         raise DomainError("series too short to compose")
     fc, gc = f.coeffs[: n + 1], g.coeffs[: n + 1]
     if f.is_exact and g.is_exact:
-        D = lcm(*(c.denominator for c in gc))
-        E = lcm(*(c.denominator for c in fc))
-        gc = [c.numerator * (D // c.denominator) for c in gc]
-        fc = [c.numerator * (E // c.denominator) * D ** (n - k) for k, c in enumerate(fc)]
+        (gc, D), (fc, E) = _cleared(gc), _cleared(fc)
+        fc = [c * D ** (n - k) for k, c in enumerate(fc)]
         dtype, den = object, E * D**n
     else:
         fc, gc = _floats(fc), _floats(gc)
         dtype, den = float, 1
     r = np.arange(n + 1)
-    bell = np.eye(n + 1, dtype=dtype)  # bell[k, m] = B_{m,k}: row 0, then one product a row
+    bell = np.zeros((n + 1, n + 1), dtype)  # bell[k, m] = B_{m,k}: row 0, then one product a row
+    bell[0, 0] = 1
     with np.errstate(over="ignore", invalid="ignore"):  # TruncatedSeries rejects inf and NaN
         W = np.array(gc, dtype)[r[:, None] - r]  # g_{m-j}; the wrapped j > m meet zero weights
         W *= _binomial_weights(n, dtype)  # W[m, j] = g_{m-j} C(m-1, j), one array fewer alive
         for k in range(1, n + 1):
-            bell[k, k:] = W[k:, k - 1 :] @ bell[k - 1, k - 1 :]
+            np.matmul(W[k:, k - 1 :], bell[k - 1, k - 1 :], out=bell[k, k:])
         out = (np.array(fc, dtype) @ bell).tolist()
     out[0] = fc[0]  # f_0 as stored: f_0 + 0 + ... would lose a -0.0
     if den != 1:
         out = [Fraction(c, den) for c in out]
     return TruncatedSeries(tuple(out))
+
+
+def _cleared(coeffs) -> tuple[list, int]:
+    """Int numerators c' and the least common denominator E of exact coefficients c = c'/E."""
+    E = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (E // c.denominator) for c in coeffs], E
 
 
 def _pascal_rows(n: int):
@@ -146,19 +152,25 @@ def _floats(coeffs) -> list:
 
 
 def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    """(fg)_k = sum_i binom(k, i) f_i g_{k-i} on the common prefix.
+    """(fg)_k = sum_i binom(k, i) f_i g_{k-i} on the common prefix; exact factors as cleared ints.
 
     When both factors carry certificates over the same weakly log-convex
     weight sequence, the product gets the combined certificate
     (C_f C_g M_0, rho_f + rho_g), re-verified on the stored prefix.
     """
     n_out = min(f.order, g.order)
-    fc, gc = f.coeffs, g.coeffs
-    if not (f.is_exact and g.is_exact):
-        fc, gc = _floats(fc), _floats(gc)
-    # exact Pascal rows; reduce keeps the loop's sum order (sum compensates floats from 3.12)
-    out = [reduce(add, map(mul, map(mul, row, fc), reversed(gc[: k + 1])), 0)
-           for k, row in enumerate(_pascal_rows(n_out))]
+    if f.is_exact and g.is_exact:
+        (fc, E), (gc, D) = _cleared(f.coeffs[: n_out + 1]), _cleared(g.coeffs[: n_out + 1])
+        out = []
+        for k, row in enumerate(_pascal_rows(n_out)):
+            h, tail = (k + 1) // 2, slice(k, k // 2, -1)  # the pairs (i, k - i), i < h
+            c = sum(map(mul, row[:h], map(add, map(mul, fc[:h], gc[tail]), map(mul, fc[tail], gc[:h]))))
+            out.append(c if k % 2 else c + row[h] * fc[h] * gc[h])  # and the middle term
+        out = [Fraction(c, E * D) for c in out] if E * D != 1 else out
+    else:  # reduce keeps the loop's sum order (sum compensates floats from 3.12)
+        fc, gc = _floats(f.coeffs), _floats(g.coeffs)
+        out = [reduce(add, map(mul, map(mul, row, fc), reversed(gc[: k + 1])), 0)
+               for k, row in enumerate(_pascal_rows(n_out))]
     cert = None
     if (
         f.certificate is not None
@@ -167,12 +179,11 @@ def multiply_series(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
         and is_log_convex(f.certificate.seq, weak=True).holds
     ):
         W = f.certificate.seq
-        M0 = float(np.exp(W.log_M[0]))
-        cert = MembershipCertificate(
-            C=f.certificate.C * g.certificate.C * M0,
-            rho=f.certificate.rho + g.certificate.rho,
-            seq=W,
-        )
+        log_C = log(f.certificate.C) + log(g.certificate.C) + W.log_M[0]  # M_0 alone may overflow
+        C = float(np.exp(log_C)) if log_C <= _LOG_FLOAT_MAX else np.inf  # np.exp would warn
+        if not 0 < C < np.inf:
+            raise DomainError(f"certificate requires finite C > 0 and rho > 0: C_f C_g M_0 = e^{log_C:.6g}")
+        cert = MembershipCertificate(C=C, rho=f.certificate.rho + g.certificate.rho, seq=W)
     return TruncatedSeries(tuple(out), certificate=cert)
 
 
@@ -210,8 +221,10 @@ def verify_composition_bound(f: TruncatedSeries, g: TruncatedSeries) -> dict:
         last = _last_compose = (M, L, n, compose_sequences(M, L, n))
     ML = last[3]
     fg = compose_series(f, g)
-    ks = np.arange(1.0, n + 1)
-    log_bound = np.log(C_star) + ks * np.log(tau) + _log_factorials(n)[1:] + ML.log_M[1:]
+    log_bound = np.arange(1.0, n + 1) * np.log(tau)  # + log C* + log k! + log (M o L)_k in place
+    log_bound += np.log(C_star)
+    log_bound += _log_factorials(n)[1:]
+    log_bound += ML.log_M[1:]
     log_c = _log_abs(fg.coeffs[1:])
     slack = np.where(log_c == -np.inf, np.inf, log_bound - log_c).tolist()  # inf at (f o g)_k = 0
     violations = [k for k, sl in enumerate(slack, 1) if sl < -1e-9]

@@ -283,14 +283,16 @@ def fm_membership(coeffs: Sequence, W: WeightSequence, rho: float) -> float:
     rho = _float_or_nan(rho)  # an exact rho reaches np.log as a float
     if not 0 < rho < np.inf:
         raise DomainError("rho must be positive and finite")
-    log_f = _log_abs(coeffs)
-    if log_f.size < 1:
+    log_ratio = _log_abs(coeffs)  # a new array: the ratio is built in it, left to right
+    if log_ratio.size < 1:
         raise DomainError("need at least one coefficient")
-    n = log_f.size - 1
+    n = log_ratio.size - 1
     if W.k_max < n:
         raise DomainError("weight sequence does not cover the coefficient range")
-    log_ratio = log_f - np.arange(n + 1.0) * np.log(rho) - _log_factorials(n) - W.log_M[: n + 1]
-    top = log_ratio.max()  # inf or NaN only from an inf or NaN coefficient
-    if not top < np.inf:
-        raise DomainError(f"non-finite coefficient at k={int(np.argmin(log_f < np.inf))}")
+    log_ratio -= np.arange(n + 1.0) * np.log(rho)
+    log_ratio -= _log_factorials(n)
+    log_ratio -= W.log_M[: n + 1]
+    top = np.maximum.reduce(log_ratio)  # inf or NaN only from an inf or NaN coefficient
+    if not top < np.inf:  # the subtrahends are finite, so log|f_k| was inf or NaN where this is
+        raise DomainError(f"non-finite coefficient at k={int(np.argmin(log_ratio < np.inf))}")
     return float(np.exp(top)) if top <= _LOG_FLOAT_MAX else np.inf  # np.exp would warn

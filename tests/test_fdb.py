@@ -498,6 +498,39 @@ class TestMultiply:
                                   for v in rng.normal(size=301) * 7))
         assert repr(multiply_series(f, g).coeffs) == repr(double_loop_multiply(f, g).coeffs)
 
+    def test_exact_mixed_denominators_at_order_200(self):
+        # E D = 84 over the cleared products; some outputs are integral and collapse to int
+        n = 200
+        f = TruncatedSeries(tuple(Fraction(5, 7) * (k % 3 + 1) for k in range(n + 1)))
+        g = TruncatedSeries(tuple(Fraction(-7, 12) * (-1) ** k * (k % 5 + 1) for k in range(n + 1)))
+        assert repr(multiply_series(f, g).coeffs) == repr(double_loop_multiply(f, g).coeffs)
+
+    @pytest.mark.parametrize("big", [2**53 + 1, 10**400, Fraction(10**400 + 1, 3)],
+                             ids=["past-2^53", "past-float-range", "fraction-past-float-range"])
+    def test_exact_past_float_in_value_and_type(self, big):
+        rng = np.random.default_rng(11)
+        f = TruncatedSeries(tuple(big + int(v) for v in rng.integers(-(10**6), 10**6, size=41)))
+        g = TruncatedSeries(tuple(int(v) * big for v in rng.integers(-9, 10, size=37)))
+        out = multiply_series(f, g)
+        assert repr(out.coeffs) == repr(double_loop_multiply(f, g).coeffs)
+        assert out.order == 36 and all(out.coeffs)  # repr: the same value and type
+
+    @pytest.mark.parametrize("exact", ["int", "fraction"])
+    def test_every_output_index_to_14_on_distinct_primes(self, exact):
+        # every f_i g_j is a distinct product of primes, so a term paired with the wrong
+        # partner or a middle term counted twice changes the sum; odd and even k alike
+        primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]  # 62 primes
+        for n in range(1, 15):
+            fc, gc = primes[: n + 1], primes[15:30]
+            if exact == "fraction":
+                fc = [Fraction(p, q) for p, q in zip(fc, primes[30:])]
+                gc = [Fraction(p, q) for p, q in zip(gc, primes[45:])]
+            f, g = TruncatedSeries(tuple(fc)), TruncatedSeries(tuple(gc))
+            for a, b in ((f, g), (g, f)):
+                out = multiply_series(a, b)
+                assert out.order == n
+                assert repr(out.coeffs) == repr(double_loop_multiply(a, b).coeffs), n
+
     def test_certificate_combination(self):
         W = tabulate(lambda k: 0.0, 12, name="analytic")
         cf = MembershipCertificate(C=2.0, rho=1.0, seq=W)
@@ -517,6 +550,23 @@ class TestMultiply:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="finite C > 0 and rho > 0"):
                 multiply_series(f, f)
+
+    def test_combined_constant_from_logs(self):
+        # M_0 = e^800 is past the float range; C_f C_g M_0 is taken from logs and raises only
+        # when it leaves (0, float max) itself, naming the combined constant, without a warning
+        W = tabulate(lambda k: 800.0 + k, 12, name="huge")
+        W0 = tabulate(lambda k: 0.0, 12, name="analytic")
+        cases = [(1.0, W, (1, 1), "e^800"), (1e-200, W0, (1e-200, 1e-200), "e^-921.034")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for C, basis, coeffs, constant in cases:
+                f = TruncatedSeries(coeffs, certificate=MembershipCertificate(C, 1.0, basis))
+                with pytest.raises(DomainError, match=re.escape(f": C_f C_g M_0 = {constant}") + "$"):
+                    multiply_series(f, f)
+            f = TruncatedSeries((1, 1), certificate=MembershipCertificate(1e-200, 1.0, W))
+            out = multiply_series(f, f)
+        assert out.coeffs == (1, 2) and out.certificate.rho == 2.0
+        assert out.certificate.C == pytest.approx(math.exp(800.0 + 2 * math.log(1e-200)), rel=1e-13)
 
     def test_no_certificate_when_bases_differ(self):
         W1 = tabulate(lambda k: 0.0, 12, name="a")
@@ -600,20 +650,27 @@ class TestCompositionBound:
             assert rep["log_slack"][1] == math.inf
             assert repr(rep) == repr(loop_bound_report(f, g))
 
-    def test_slack_loop_bit_for_bit_on_random_certified_pairs(self):
-        rng = np.random.default_rng(7)
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_slack_loop_bit_for_bit_on_random_certified_pairs(self, seed):
+        # the compose benchmark's recipe for its 200 criterion-8 pairs, copied
+        rng = np.random.default_rng(seed)
         ks = np.arange(0, 14, dtype=float)
-        W = tabulate(list(0.4 * ks * np.log(ks + 1.0)), 13, name="w", claims={"log-convex"})
+        log_fact13 = np.array([math.lgamma(k + 1.0) for k in range(13)])
+        pairs = []
         for _ in range(200):
-            fc = rng.normal(size=13) * np.exp(rng.uniform(0.0, 0.5) * log_factorial(ks[:13]))
+            fc = rng.normal(size=13) * np.exp(rng.uniform(0.0, 0.5) * log_fact13)
             gc = rng.normal(size=13)
             gc[0] = 0.0
             rho_f, rho_g = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
-            f = TruncatedSeries(tuple(fc), certificate=MembershipCertificate(
+            pairs.append((tuple(fc), tuple(gc), rho_f, rho_g))
+        W = tabulate(list(0.4 * ks * np.log(ks + 1.0)), 13, name="w", claims={"log-convex"})
+        for fc, gc, rho_f, rho_g in pairs:
+            f = TruncatedSeries(fc, certificate=MembershipCertificate(
                 max(fm_membership(fc, W, rho_f), 1e-9), rho_f, W))
-            g = TruncatedSeries(tuple(gc), certificate=MembershipCertificate(
+            g = TruncatedSeries(gc, certificate=MembershipCertificate(
                 max(fm_membership(gc, W, rho_g), 1e-9), rho_g, W))
-            assert repr(verify_composition_bound(f, g)) == repr(loop_bound_report(f, g))
+            report = verify_composition_bound(f, g)
+            assert repr(report) == repr(loop_bound_report(f, g)) and report["ok"]
 
     @pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3), 1e300])
     def test_reports_a_violation(self, monkeypatch, big):

@@ -5,8 +5,9 @@ Every top-level import of a module in src/carleman_lab is read somewhere in it
 every private top-level function, class or assigned name is referenced by some
 module, no top-level name is bound in two modules, every name a submodule exports
 is re-exported by the package or referenced by some module, no function body
-imports anything, and no module calls numpy's logaddexp (log-space sums take one
-max-shifted pass, ``seqcore._log_sum_exp``).
+imports anything, no module calls numpy's logaddexp (log-space sums take one
+max-shifted pass, ``seqcore._log_sum_exp``), and exact denominators are cleared in
+one place (``fdb._cleared``, the one call of ``lcm``).
 """
 
 import ast
@@ -141,3 +142,15 @@ def test_no_logaddexp(path):
                            getattr(node, "name", None), getattr(node, "asname", None))
     ]
     assert not uses, f"logaddexp referenced (use seqcore._log_sum_exp): {uses}"
+
+
+def test_denominators_cleared_in_one_place():
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and "lcm" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert len(calls) == 1 and calls[0].startswith("fdb.py:"), (
+        f"lcm called outside fdb._cleared, the one exact representation: {calls}")

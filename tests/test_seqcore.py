@@ -483,6 +483,15 @@ class TestMembershipAgainstMaskedOracle:
         cs = [0 if k in zeros else c for k, c in enumerate(cs)]  # leading and interior zeros
         assert repr(fm_membership(cs, self.W, rho)) == repr(masked_fm_membership(cs, self.W, rho))
 
+    def test_leaves_its_inputs_unchanged(self):
+        # the ratio is built in place in the new array _log_abs returns, never in an input
+        arr = np.random.default_rng(3).normal(size=14) * 1e3
+        arr[4] = 0.0  # the zero branch of _log_abs
+        kept, log_M = arr.copy(), self.W.log_M.copy()
+        for cs in (arr, tuple(arr.tolist()), arr[::-1]):
+            assert repr(fm_membership(cs, self.W, 0.7)) == repr(masked_fm_membership(cs, self.W, 0.7))
+        assert np.array_equal(arr, kept) and np.array_equal(self.W.log_M, log_M)
+
     @pytest.mark.parametrize("cs", [[0], [0.0] * 14, [0, Fraction(0), -0.0], [0, 0, 3], [2, 0, 0],
                                     [0, 10**400, 0, 1.5], [1e308, 0.0, -1e308]])
     @pytest.mark.parametrize("rho", [1e-3, 1.0, 1e3])
